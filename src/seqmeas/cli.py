@@ -8,11 +8,13 @@ Subcommands::
     seqmeas verify    self-verification suites, nonzero exit on failure
     seqmeas znzd      zero-noise-zero-disturbance classification / locus scan
 
-Angles are radians (``--degrees`` converts at parse time).  The coupling is
-given either as ``--gamma`` or as the strength ``--kappa``.  All numeric
-output carries 9 significant digits, identically in JSON and CSV, and a fixed
-``(config, seed)`` reproduces output byte for byte; when ``--seed`` is absent
-the SEQMEAS_SEED environment variable supplies the default.
+Each subcommand accepts only the options it reads.  Angles are radians
+(``--degrees`` converts at parse time); ``probs`` and ``estimate`` take the
+coupling either as ``--gamma`` or as the strength ``--kappa``.  All numeric
+output carries 9 significant digits, identically in JSON and CSV (a
+non-finite number is ``null`` in JSON), and a fixed ``(config, seed)``
+reproduces output byte for byte; when ``--seed`` is absent the SEQMEAS_SEED
+environment variable supplies the default.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -38,20 +40,12 @@ from .coupling import (
 )
 from .errors import SeqmeasError
 from .fisher import tradeoff_curve
-from .montecarlo import estimate, sample
+from .montecarlo import _z_score, estimate, sample
 from .qubit import a_direction, expectation, make_direction, make_state
-from .verify import FAULT_MODES, run_verification
+from .verify import DEFAULT_SCENARIO, FAULT_MODES, run_verification
 
 SEED_ENV_VAR = "SEQMEAS_SEED"
 DEFAULT_SEED = 42
-
-_DEFAULTS = {
-    "alpha": math.pi / 6,
-    "phi": 0.0,
-    "theta": math.pi / 2,
-    "varphi": 0.0,
-    "gamma": math.sqrt(0.8),
-}
 
 
 @dataclass(frozen=True)
@@ -64,7 +58,6 @@ class ScenarioConfig:
     varphi: float
     gamma: float
     trials: int
-    repeats: int
     grid: int
     seed: int
     fmt: str
@@ -89,7 +82,7 @@ def _fmt9(x: float) -> str:
 
 def _jsonify(value):
     if isinstance(value, float):
-        return _round9(value)
+        return _round9(value) if math.isfinite(value) else None
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -195,8 +188,8 @@ def cmd_estimate(config: ScenarioConfig) -> int:
     stats = estimate(batch, setup)
     true_a = expectation(setup.state, a_direction())
     true_b = expectation(setup.state, setup.b_dir)
-    z_a = (stats.est_A - true_a) / stats.se_A if stats.se_A > 0.0 else 0.0
-    z_b = (stats.est_B - true_b) / stats.se_B if stats.se_B > 0.0 else 0.0
+    z_a = _z_score(stats.est_A, true_a, stats.se_A)
+    z_b = _z_score(stats.est_B, true_b, stats.se_B)
     report = {
         "scenario": _scenario_dict(config),
         "trials": config.trials,
@@ -275,10 +268,6 @@ def cmd_verify(config: ScenarioConfig, trials: int | None, repeats: int | None,
     return 0 if all_passed else 1
 
 
-def _angle(parser: argparse.ArgumentParser, name: str, default: float, help_text: str) -> None:
-    parser.add_argument(name, type=float, default=default, help=help_text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqmeas",
@@ -286,41 +275,50 @@ def build_parser() -> argparse.ArgumentParser:
         "exact laws, disturbance-corrected estimates, precision trade-off.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    alpha, phi, theta, varphi, _ = DEFAULT_SCENARIO
 
-    def add_common(p: argparse.ArgumentParser, with_stats: bool = False) -> None:
-        _angle(p, "--alpha", _DEFAULTS["alpha"], "state polar angle (radians)")
-        _angle(p, "--phi", _DEFAULTS["phi"], "state relative phase (radians)")
-        _angle(p, "--theta", _DEFAULTS["theta"], "observable polar angle (radians)")
-        _angle(p, "--varphi", _DEFAULTS["varphi"], "observable azimuthal angle (radians)")
-        p.add_argument("--degrees", action="store_true", help="angles are given in degrees")
-        strength = p.add_mutually_exclusive_group()
-        strength.add_argument("--gamma", type=float, default=None,
-                              help="coupling amplitude in [1/sqrt(2), 1]")
-        strength.add_argument("--kappa", type=float, default=None,
-                              help="measurement strength in [0, 1] (alternative to --gamma)")
-        p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
-        p.add_argument("--out", default=None, metavar="PATH", help="write output to PATH")
-        if with_stats:
-            p.add_argument("--trials", type=int, default=1_000_000)
-            p.add_argument("--repeats", type=int, default=30)
-            p.add_argument("--seed", type=int, default=None,
-                           help=f"sampling seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
-            p.add_argument("--workers", type=int, default=1,
-                           help="shard sampling across N threads (results identical)")
+    # Option groups; each subcommand takes exactly the groups it reads.
+    angles = argparse.ArgumentParser(add_help=False)
+    angles.add_argument("--alpha", type=float, default=alpha, help="state polar angle (radians)")
+    angles.add_argument("--phi", type=float, default=phi, help="state relative phase (radians)")
+    angles.add_argument("--theta", type=float, default=theta,
+                        help="observable polar angle (radians)")
+    angles.add_argument("--varphi", type=float, default=varphi,
+                        help="observable azimuthal angle (radians)")
+    angles.add_argument("--degrees", action="store_true", help="angles are given in degrees")
 
-    p_probs = sub.add_parser("probs", help="exact outcome laws of one scenario")
-    add_common(p_probs)
+    coupling = argparse.ArgumentParser(add_help=False)
+    strength = coupling.add_mutually_exclusive_group()
+    strength.add_argument("--gamma", type=float, default=None,
+                          help="coupling amplitude in [1/sqrt(2), 1]")
+    strength.add_argument("--kappa", type=float, default=None,
+                          help="measurement strength in [0, 1] (alternative to --gamma)")
 
-    p_est = sub.add_parser("estimate", help="Monte Carlo run with corrected estimates")
-    add_common(p_est, with_stats=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
+    output.add_argument("--out", default=None, metavar="PATH", help="write output to PATH")
 
-    p_trade = sub.add_parser("tradeoff", help="precision trade-off sweep over the coupling")
-    add_common(p_trade)
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--seed", type=int, default=None,
+                          help=f"sampling seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
+    sampling.add_argument("--workers", type=int, default=1,
+                          help="shard sampling across up to N threads, at most one per "
+                          "core (results identical)")
+
+    sub.add_parser("probs", parents=[angles, coupling, output],
+                   help="exact outcome laws of one scenario")
+
+    p_est = sub.add_parser("estimate", parents=[angles, coupling, output, sampling],
+                           help="Monte Carlo run with corrected estimates")
+    p_est.add_argument("--trials", type=int, default=1_000_000)
+
+    p_trade = sub.add_parser("tradeoff", parents=[angles, output],
+                             help="precision trade-off sweep over the coupling")
     p_trade.add_argument("--grid", type=int, default=100,
                          help="number of swept couplings between the endpoint rows")
 
-    p_verify = sub.add_parser("verify", help="run the self-verification suites")
-    add_common(p_verify, with_stats=True)
+    p_verify = sub.add_parser("verify", parents=[output, sampling],
+                              help="run the self-verification suites")
     p_verify.add_argument("--verify-trials", type=int, default=None,
                           help="override trials for both statistical suites")
     p_verify.add_argument("--verify-repeats", type=int, default=None,
@@ -328,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--inject-fault", choices=FAULT_MODES, default=None,
                           help=argparse.SUPPRESS)
 
-    p_znzd = sub.add_parser("znzd", help="classify the state / scan the ZNZD locus")
-    add_common(p_znzd)
+    p_znzd = sub.add_parser("znzd", parents=[angles, output],
+                            help="classify the state / scan the ZNZD locus")
     p_znzd.add_argument("--scan", action="store_true",
                         help="scan a (phi, alpha) grid and emit the nontrivial locus")
     p_znzd.add_argument("--scan-points", type=int, default=360,
@@ -340,15 +338,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> ScenarioConfig:
-    scale = math.pi / 180.0 if args.degrees else 1.0
-    gamma = args.gamma
-    if args.kappa is not None:
+    # Subcommands without a scenario option (verify, or the coupling of
+    # tradeoff and znzd) get the default scenario, which they never read.
+    alpha, phi, theta, varphi, gamma = DEFAULT_SCENARIO
+    scale = math.pi / 180.0 if getattr(args, "degrees", False) else 1.0
+    if getattr(args, "kappa", None) is not None:
         try:
             gamma = Coupling.from_kappa(args.kappa).gamma
         except SeqmeasError as exc:
             parser.error(f"--kappa: {exc}")
-    if gamma is None:
-        gamma = _DEFAULTS["gamma"]
+    elif getattr(args, "gamma", None) is not None:
+        gamma = args.gamma
 
     seed = getattr(args, "seed", None)
     if seed is None:
@@ -359,10 +359,9 @@ def _resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -
             parser.error(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
 
     trials = getattr(args, "trials", 1)
-    repeats = getattr(args, "repeats", 1)
     grid = getattr(args, "grid", 2)
     workers = getattr(args, "workers", 1)
-    for name, value in (("--trials", trials), ("--repeats", repeats), ("--workers", workers)):
+    for name, value in (("--trials", trials), ("--workers", workers)):
         if value < 1:
             parser.error(f"{name} must be a positive integer, got {value}")
     if grid < 2:
@@ -371,13 +370,12 @@ def _resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         parser.error("--scan-points must be at least 4")
 
     return ScenarioConfig(
-        alpha=args.alpha * scale,
-        phi=args.phi * scale,
-        theta=args.theta * scale,
-        varphi=args.varphi * scale,
+        alpha=getattr(args, "alpha", alpha) * scale,
+        phi=getattr(args, "phi", phi) * scale,
+        theta=getattr(args, "theta", theta) * scale,
+        varphi=getattr(args, "varphi", varphi) * scale,
         gamma=gamma,
         trials=trials,
-        repeats=repeats,
         grid=grid,
         seed=seed,
         fmt=args.fmt,

@@ -20,7 +20,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .coupling import BinaryDistribution, Coupling
+import numpy as np
+
+from .coupling import BinaryDistribution, Coupling, JointDistribution, JointSetup
 from .errors import DegenerateCoupling, InvalidParameter
 from .qubit import ObservableDirection, PureState
 
@@ -80,8 +82,8 @@ def estimate_a(p_m: BinaryDistribution, c: Coupling) -> float:
 
     ``(p(m=+1) - p(m=-1)) / kappa``, affine in the observed frequencies.
     """
-    ensure_informative(c)
-    return (p_m.p_plus - p_m.p_minus) / c.kappa
+    rec = recover_a(p_m, c)
+    return rec.p_plus - rec.p_minus
 
 
 def _independent_part_from_meter(
@@ -126,10 +128,22 @@ def estimate_b(
     ``(p(b=+1) - p(b=-1) - (1 - deco) cos(theta) est_A) / deco``, affine in
     all four observed frequencies.
     """
-    ensure_informative(c)
-    ensure_nonprojective(c)
-    cross = (1.0 - c.deco) * math.cos(direction.theta) * estimate_a(p_m, c)
-    return (p_b.p_plus - p_b.p_minus - cross) / c.deco
+    rec = recover_b(p_b, p_m, direction, c)
+    return rec.p_plus - rec.p_minus
+
+
+def estimator_weights(setup: JointSetup) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell weights ``(w_A, w_B)`` of both expectation estimators.
+
+    Each weight is the estimator evaluated on a one-cell joint law; because
+    the estimators are affine, ``w . f`` reproduces them on any joint cell
+    frequencies ``f`` (cell order of :data:`JOINT_CELLS`).
+    """
+    d, c = setup.b_dir, setup.coupling
+    laws = [JointDistribution(*cell) for cell in np.eye(4)]
+    w_a = [estimate_a(law.meter_marginal(), c) for law in laws]
+    w_b = [estimate_b(law.b_marginal(), law.meter_marginal(), d, c) for law in laws]
+    return np.array(w_a), np.array(w_b)
 
 
 def recover_all(

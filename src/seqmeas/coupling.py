@@ -10,9 +10,10 @@ quantities satisfy ``kappa**2 + deco**2 = 1`` identically.
 A subsequent projective measurement of ``sigma . n`` on the partially
 decohered signal sees probabilities that split into a coupling-independent
 part (populations only) and a coherent part diminished by ``deco``.  This
-module provides the entangled state, both marginal outcome laws, the reduced
-density matrix, that decomposition, and the exact joint law of the two
-sequential outcomes used for sampling.
+module provides the entangled state, the exact joint law of the two
+sequential outcomes (the primitive: both marginal outcome laws are sums of
+its cells, and sampling draws from it), the reduced density matrix and that
+decomposition.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .qubit import (
     DensityMatrix,
     ObservableDirection,
     PureState,
-    born_probability,
 )
 
 GAMMA_MIN = 1.0 / math.sqrt(2.0)
@@ -185,27 +185,9 @@ def entangled_state(setup: JointSetup) -> np.ndarray:
     )
 
 
-def _signal_branch(setup: JointSetup, m: int) -> np.ndarray:
-    """Unnormalized signal amplitudes conditioned on meter outcome m."""
-    amp0, amp1 = setup.state.amplitudes
-    c = setup.coupling
-    if m == +1:
-        return np.array([c.gamma * amp0, c.gamma_bar * amp1], dtype=complex)
-    if m == -1:
-        return np.array([c.gamma_bar * amp0, c.gamma * amp1], dtype=complex)
-    raise InvalidParameter(f"meter outcome must be +1 or -1, got {m!r}")
-
-
 def meter_probabilities(setup: JointSetup) -> BinaryDistribution:
     """Outcome law of the meter readout: ``p(+1) = kappa sin^2 a + gamma_bar^2``."""
-    c = setup.coupling
-    s2 = math.sin(setup.state.alpha) ** 2
-    c2 = math.cos(setup.state.alpha) ** 2
-    gb2 = c.gamma_bar * c.gamma_bar
-    return BinaryDistribution(
-        min(1.0, max(0.0, c.kappa * s2 + gb2)),
-        min(1.0, max(0.0, c.kappa * c2 + gb2)),
-    )
+    return joint_distribution(setup).meter_marginal()
 
 
 def post_measurement_density(setup: JointSetup) -> DensityMatrix:
@@ -218,13 +200,16 @@ def post_measurement_density(setup: JointSetup) -> DensityMatrix:
     )
 
 
+def _squares(setup: JointSetup) -> tuple[float, float, float, float]:
+    """``sin^2 a``, ``cos^2 a`` of the state and ``cos^2(t/2)``, ``sin^2(t/2)`` of b."""
+    alpha, half = setup.state.alpha, 0.5 * setup.b_dir.theta
+    return math.sin(alpha) ** 2, math.cos(alpha) ** 2, math.cos(half) ** 2, math.sin(half) ** 2
+
+
 def decompose(setup: JointSetup) -> Decomposition:
     """Coupling-independent and coherent parts of the +1 probability of b."""
     st, d, c = setup.state, setup.b_dir, setup.coupling
-    s2 = math.sin(st.alpha) ** 2
-    c2 = math.cos(st.alpha) ** 2
-    ch = math.cos(0.5 * d.theta) ** 2
-    sh = math.sin(0.5 * d.theta) ** 2
+    s2, c2, ch, sh = _squares(setup)
     coherent = (
         c.gamma
         * c.gamma_bar
@@ -241,23 +226,27 @@ def b_probabilities(setup: JointSetup) -> BinaryDistribution:
     ``p(+1) = (1 - deco) n + deco <+|state>|^2`` with n the population-only
     part; equals tr(rho Pi) for the post-measurement density matrix.
     """
-    deco = setup.coupling.deco
-    n = decompose(setup).independent_part
-    p_plus = (1.0 - deco) * n + deco * born_probability(setup.state, setup.b_dir, +1)
-    p_minus = (1.0 - deco) * (1.0 - n) + deco * born_probability(setup.state, setup.b_dir, -1)
-    return BinaryDistribution(min(1.0, max(0.0, p_plus)), min(1.0, max(0.0, p_minus)))
+    return joint_distribution(setup).b_marginal()
 
 
 def joint_distribution(setup: JointSetup) -> JointDistribution:
-    """Exact joint law of the sequential outcomes (m, b).
+    """Exact joint law of the sequential outcomes (m, b); the primitive law.
 
-    Standard collapse rule: condition the signal on the meter branch,
-    renormalize, then apply the Born rule for b.  Equivalently each cell is
-    ``|<b | branch_m>|^2`` on the unnormalized branch, which also covers
-    branches of zero norm.
+    Each cell is ``|<b | branch_m>|^2`` on the unnormalized signal branch of
+    meter outcome m (standard collapse rule, which also covers branches of
+    zero norm): the branch populations weighted by the half-angle overlaps of
+    the b eigenvector, plus or minus the interference term ``x``, half the
+    coherent coefficient of :func:`decompose`.  Both marginal laws are sums
+    of these cells.
     """
-    cells = []
-    for m, b in JOINT_CELLS:
-        amp = np.vdot(setup.b_dir.ket(b), _signal_branch(setup, m))
-        cells.append(min(1.0, max(0.0, float((amp * amp.conjugate()).real))))
-    return JointDistribution(*cells)
+    c = setup.coupling
+    s2, c2, ch, sh = _squares(setup)
+    g2, gb2 = c.gamma * c.gamma, c.gamma_bar * c.gamma_bar
+    x = 0.5 * decompose(setup).coherent_coefficient
+    cells = (
+        g2 * s2 * ch + gb2 * c2 * sh + x,
+        g2 * s2 * sh + gb2 * c2 * ch - x,
+        gb2 * s2 * ch + g2 * c2 * sh + x,
+        gb2 * s2 * sh + g2 * c2 * ch - x,
+    )
+    return JointDistribution(*(min(1.0, max(0.0, p)) for p in cells))

@@ -18,11 +18,17 @@ import math
 from dataclasses import dataclass
 
 from .correction import ZnzdClass, is_znzd
-from .coupling import BinaryDistribution, Coupling, JointSetup, b_probabilities, meter_probabilities
+from .coupling import (
+    GAMMA_MIN,
+    BinaryDistribution,
+    Coupling,
+    JointSetup,
+    b_probabilities,
+    joint_distribution,
+    meter_probabilities,
+)
 from .errors import DegenerateDistribution, InvalidParameter, UnboundedVariance
 from .qubit import ObservableDirection, PureState, a_direction, born_probability
-
-GAMMA_MIN = 1.0 / math.sqrt(2.0)
 
 # Offset keeping the swept couplings strictly away from the degenerate endpoints.
 ENDPOINT_OFFSET = 1e-6
@@ -51,58 +57,62 @@ class TradeoffPoint:
     valid: bool = True
 
 
-def _check_nondegenerate(p: BinaryDistribution, label: str) -> None:
+def _information(p: BinaryDistribution, dp: float, label: str) -> float:
+    """``dp^2 / (p_plus p_minus)``; refuses a degenerate law, naming it by ``label``."""
     if p.p_plus <= 0.0 or p.p_plus >= 1.0:
         raise DegenerateDistribution(
             f"{label} outcome distribution is degenerate "
             f"(p_plus = {p.p_plus!r}); Fisher information diverges"
         )
+    return dp * dp / (p.p_plus * p.p_minus)
 
 
 def fisher_binary(p: BinaryDistribution, dp: float) -> float:
     """Fisher information of a binary law whose +1 probability has sensitivity ``dp``."""
-    _check_nondegenerate(p, "binary")
-    return dp * dp / (p.p_plus * p.p_minus)
+    return _information(p, dp, "binary")
+
+
+def _meter_information(p_m: BinaryDistribution, c: Coupling) -> float:
+    return _information(p_m, 0.5 * c.kappa, "meter (A channel)")
+
+
+def _b_information(p_b: BinaryDistribution, c: Coupling) -> float:
+    return _information(p_b, 0.5 * c.deco, "second measurement (B channel)")
 
 
 def fisher_a_joint(setup: JointSetup) -> float:
     """Information about the first observable carried by one meter record."""
-    p = meter_probabilities(setup)
-    _check_nondegenerate(p, "meter (A channel)")
-    return fisher_binary(p, 0.5 * setup.coupling.kappa)
+    return _meter_information(meter_probabilities(setup), setup.coupling)
 
 
 def fisher_b_joint(setup: JointSetup) -> float:
     """Information about the second observable carried by one disturbed record."""
-    p = b_probabilities(setup)
-    _check_nondegenerate(p, "second measurement (B channel)")
-    return fisher_binary(p, 0.5 * setup.coupling.deco)
+    return _b_information(b_probabilities(setup), setup.coupling)
 
 
-def fisher_a_proj(state: PureState) -> float:
-    """Information per record of an independent projective measurement of sigma_z."""
-    p = BinaryDistribution(
-        born_probability(state, a_direction(), +1),
-        born_probability(state, a_direction(), -1),
-    )
-    _check_nondegenerate(p, "projective A (state is an eigenstate of A)")
-    return 0.25 / (p.p_plus * p.p_minus)
-
-
-def fisher_b_proj(state: PureState, direction: ObservableDirection) -> float:
-    """Information per record of an independent projective measurement of ``sigma . n``."""
+def _projective_information(state: PureState, direction: ObservableDirection, name: str) -> float:
     p = BinaryDistribution(
         born_probability(state, direction, +1),
         born_probability(state, direction, -1),
     )
-    _check_nondegenerate(p, "projective B (state is an eigenstate of B)")
-    return 0.25 / (p.p_plus * p.p_minus)
+    return _information(p, 0.5, f"projective {name} (state is an eigenstate of {name})")
+
+
+def fisher_a_proj(state: PureState) -> float:
+    """Information per record of an independent projective measurement of sigma_z."""
+    return _projective_information(state, a_direction(), "A")
+
+
+def fisher_b_proj(state: PureState, direction: ObservableDirection) -> float:
+    """Information per record of an independent projective measurement of ``sigma . n``."""
+    return _projective_information(state, direction, "B")
 
 
 def precisions(setup: JointSetup) -> FisherReport:
     """Fisher informations of the scenario and the precision ratios epsilon, eta."""
-    i_a_joint = fisher_a_joint(setup)
-    i_b_joint = fisher_b_joint(setup)
+    law = joint_distribution(setup)
+    i_a_joint = _meter_information(law.meter_marginal(), setup.coupling)
+    i_b_joint = _b_information(law.b_marginal(), setup.coupling)
     i_a_proj = fisher_a_proj(setup.state)
     i_b_proj = fisher_b_proj(setup.state, setup.b_dir)
     return FisherReport(

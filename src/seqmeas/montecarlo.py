@@ -13,17 +13,14 @@ multinomial covariance of the frequencies.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .correction import ensure_informative, ensure_nonprojective, estimate_a, estimate_b
-from .coupling import (
-    BinaryDistribution,
-    JointSetup,
-    joint_distribution,
-)
+from .correction import estimator_weights
+from .coupling import JointSetup, joint_distribution
 from .errors import InvalidParameter
 from .fisher import cramer_rao_bound, fisher_a_joint, fisher_b_joint
 from .qubit import a_direction, expectation
@@ -52,10 +49,8 @@ def trial_uniforms(seed: int, start: int, stop: int) -> np.ndarray:
 
 def derive_seed(seed: int, stream: int) -> int:
     """Independent child seed for repeat ``stream`` of a master seed."""
-    z = (seed + (stream + 1) * _STREAM) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    z = np.array([(seed + (stream + 1) * _STREAM) & _MASK64], dtype=np.uint64)
+    return int(_mix64(z)[0])
 
 
 @dataclass(frozen=True)
@@ -131,6 +126,11 @@ def _counts_for_range(cum: np.ndarray, seed: int, start: int, stop: int) -> np.n
     return counts
 
 
+def _thread_count(workers: int, trials: int) -> int:
+    """Threads that ``workers`` gets: never more than the cores or the trials."""
+    return min(workers, os.cpu_count() or 1, trials)
+
+
 def sample(setup: JointSetup, trials: int, seed: int, workers: int = 1) -> TrialBatch:
     """Draw ``trials`` outcomes of the joint law; trial i depends only on (seed, i)."""
     if trials < 1:
@@ -141,28 +141,18 @@ def sample(setup: JointSetup, trials: int, seed: int, workers: int = 1) -> Trial
     cum = np.cumsum(law.as_array())
     cum[-1] = 1.0  # guard against cumulative rounding below the largest variate
 
-    if workers == 1:
+    threads = _thread_count(workers, trials)
+    if threads == 1:
         counts = _counts_for_range(cum, seed, 0, trials)
     else:
-        bounds = np.linspace(0, trials, workers + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        bounds = np.linspace(0, trials, threads + 1, dtype=int)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = pool.map(
                 lambda span: _counts_for_range(cum, seed, span[0], span[1]),
                 zip(bounds[:-1], bounds[1:]),
             )
             counts = sum(parts, np.zeros(4, dtype=np.int64))
     return TrialBatch(counts=tuple(int(c) for c in counts), trials=trials, seed=seed)
-
-
-def _estimator_coefficients(setup: JointSetup) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell coefficients of the affine estimators of both expectations."""
-    c = setup.coupling
-    ensure_informative(c)
-    ensure_nonprojective(c)
-    a = np.array([1.0, 1.0, -1.0, -1.0]) / c.kappa
-    cross = (1.0 - c.deco) * math.cos(setup.b_dir.theta) / c.kappa
-    b = (np.array([1.0, -1.0, 1.0, -1.0]) - cross * np.array([1.0, 1.0, -1.0, -1.0])) / c.deco
-    return a, b
 
 
 def _affine_variance(weights: np.ndarray, probs: np.ndarray, n: int) -> float:
@@ -177,15 +167,11 @@ def estimate(batch: TrialBatch, setup: JointSetup) -> SampleStats:
     Standard errors use the multinomial covariance of the observed
     frequencies (plug-in), propagated exactly through the affine maps.
     """
-    w_a, w_b = _estimator_coefficients(setup)
+    w_a, w_b = estimator_weights(setup)
     f = batch.frequencies()
-    p_m = BinaryDistribution(f[0] + f[1], f[2] + f[3])
-    p_b = BinaryDistribution(f[0] + f[2], f[1] + f[3])
-    est_A = estimate_a(p_m, setup.coupling)
-    est_B = estimate_b(p_b, p_m, setup.b_dir, setup.coupling)
     return SampleStats(
-        est_A=est_A,
-        est_B=est_B,
+        est_A=float(w_a @ f),
+        est_B=float(w_b @ f),
         se_A=math.sqrt(max(0.0, _affine_variance(w_a, f, batch.trials))),
         se_B=math.sqrt(max(0.0, _affine_variance(w_b, f, batch.trials))),
         n=batch.trials,
@@ -205,7 +191,7 @@ def _batch_estimates(
 ) -> tuple[np.ndarray, np.ndarray]:
     if repeats < 1:
         raise InvalidParameter(f"repeats must be >= 1, got {repeats!r}")
-    _estimator_coefficients(setup)  # fail fast on degenerate couplings
+    estimator_weights(setup)  # fail fast on degenerate couplings
     est_a_vals = np.empty(repeats)
     est_b_vals = np.empty(repeats)
     for r in range(repeats):
@@ -271,7 +257,7 @@ def crb_check(
     var_b = float(est_b_vals.var(ddof=1))
     crb_a = cramer_rao_bound(fisher_a_joint(setup), trials)
     crb_b = cramer_rao_bound(fisher_b_joint(setup), trials)
-    _, w_b = _estimator_coefficients(setup)
+    _, w_b = estimator_weights(setup)
     var_b_analytic = _affine_variance(w_b, joint_distribution(setup).as_array(), trials)
     return CrbReport(
         var_A_emp=var_a,

@@ -24,6 +24,7 @@ _KET = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
 class OracleResult:
     """All observable quantities of one scenario, computed by brute force."""
 
+    state: np.ndarray  # two-qubit state, meter index slow
     meter_probs: tuple[float, float]  # (m=+1, m=-1)
     density: np.ndarray  # reduced 2x2 signal density matrix
     b_probs: tuple[float, float]  # (b=+1, b=-1)
@@ -76,7 +77,9 @@ def simulate(setup: JointSetup) -> OracleResult:
             projected = projectors[b] @ table[m_idx]
             joint[(m, b)] = float(np.vdot(projected, projected).real)
 
-    return OracleResult(meter_probs=meter_probs, density=rho, b_probs=b_probs, joint=joint)
+    return OracleResult(
+        state=psi, meter_probs=meter_probs, density=rho, b_probs=b_probs, joint=joint
+    )
 
 
 def born_probability(state_vector: np.ndarray, direction: ObservableDirection, sign: int) -> float:

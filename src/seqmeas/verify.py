@@ -19,6 +19,7 @@ import numpy as np
 from . import oracle
 from .correction import ZnzdClass, is_znzd, recover_a, recover_b
 from .coupling import (
+    GAMMA_MIN,
     BinaryDistribution,
     Coupling,
     JointSetup,
@@ -32,13 +33,12 @@ from .errors import DegenerateCoupling, InvalidParameter
 from .montecarlo import crb_check, unbiasedness_check
 from .qubit import born_probability, make_direction, make_state
 
-GAMMA_MIN = 1.0 / math.sqrt(2.0)
-
 # Coupling range for randomized oracle comparisons; strictly inside the domain
 # so that the correction round trip is well defined on the same draws.
 RANDOM_GAMMA_RANGE = (0.7072, 0.9999)
 
-# Default statistical scenario: alpha=pi/6, phi=0, theta=pi/2, varphi=0, gamma^2=0.8.
+# Default scenario of the CLI and the statistical suites:
+# alpha=pi/6, phi=0, theta=pi/2, varphi=0, gamma^2=0.8.
 DEFAULT_SCENARIO = (math.pi / 6, 0.0, math.pi / 2, 0.0, math.sqrt(0.8))
 
 # Verdict-stability band for the variance-ratio suite (about 3 sigma at 200
@@ -93,7 +93,7 @@ def suite_oracle_equivalence(
         law = joint_distribution(setup)
         rho = post_measurement_density(setup).entries
         errs = [
-            float(np.max(np.abs(entangled_state(setup) - _oracle_state_vector(setup)))),
+            float(np.max(np.abs(entangled_state(setup) - ref.state))),
             abs(p_m.p_plus - ref.meter_probs[0]),
             abs(p_m.p_minus - ref.meter_probs[1]),
             abs(p_b.p_plus - ref.b_probs[0]),
@@ -109,16 +109,6 @@ def suite_oracle_equivalence(
         detail=f"max deviation {worst:.3e} over {count} scenarios (tol {tol:g})",
         metrics={"max_error": worst, "count": count},
     )
-
-
-def _oracle_state_vector(setup: JointSetup) -> np.ndarray:
-    amp0, amp1 = setup.state.amplitudes
-    g, gb = setup.coupling.gamma, setup.coupling.gamma_bar
-    ket0 = np.array([1.0, 0.0], dtype=complex)
-    ket1 = np.array([0.0, 1.0], dtype=complex)
-    branch0 = g * amp0 * ket0 + gb * amp1 * ket1
-    branch1 = gb * amp0 * ket0 + g * amp1 * ket1
-    return np.kron(ket0, branch0) + np.kron(ket1, branch1)
 
 
 def suite_round_trip(count: int = 1000, seed: int = 1, tol: float = 1e-10) -> SuiteResult:

@@ -9,34 +9,29 @@ import json
 import math
 import time
 
-import numpy as np
 import pytest
 
 from seqmeas import (
     Coupling,
-    DegenerateCoupling,
-    JointSetup,
-    ZnzdClass,
     b_probabilities,
-    born_probability,
-    is_znzd,
-    joint_distribution,
     make_direction,
     make_state,
     meter_probabilities,
-    post_measurement_density,
-    recover_a,
-    recover_b,
     tradeoff_curve,
 )
-from seqmeas import oracle
 from seqmeas.cli import main
+from seqmeas.coupling import GAMMA_MIN
 from seqmeas.montecarlo import crb_check, unbiasedness_check
-from seqmeas.verify import default_setup, random_setups, znzd_states
+from seqmeas.verify import (
+    default_setup,
+    random_setups,
+    suite_oracle_equivalence,
+    suite_round_trip,
+    suite_znzd,
+    znzd_states,
+)
 
 from test_fisher import fd_fisher
-
-GAMMA_MIN = 1.0 / math.sqrt(2.0)
 
 
 def conclude(number: int, description: str, ok: bool, note: str = "") -> None:
@@ -47,71 +42,22 @@ def conclude(number: int, description: str, ok: bool, note: str = "") -> None:
 
 
 def test_criterion_1_oracle_equivalence():
-    setups = random_setups(1000, seed=2025, gamma_range=(0.7072, 0.9999))
     start = time.perf_counter()
-    worst = 0.0
-    for setup in setups:
-        ref = oracle.simulate(setup)
-        p_m = meter_probabilities(setup)
-        p_b = b_probabilities(setup)
-        law = joint_distribution(setup)
-        rho = post_measurement_density(setup).entries
-        worst = max(
-            worst,
-            abs(p_m.p_plus - ref.meter_probs[0]),
-            abs(p_m.p_minus - ref.meter_probs[1]),
-            abs(p_b.p_plus - ref.b_probs[0]),
-            abs(p_b.p_minus - ref.b_probs[1]),
-            float(np.max(np.abs(rho - ref.density))),
-            max(abs(law.prob(m, b) - ref.joint[(m, b)]) for m in (1, -1) for b in (1, -1)),
-        )
+    result = suite_oracle_equivalence(count=1000, seed=2025, tol=1e-10)
     elapsed = time.perf_counter() - start
     conclude(
         1,
         "oracle equivalence",
-        worst <= 1e-10 and elapsed < 1.0,
-        f"max dev {worst:.2e}, {elapsed:.2f}s",
+        result.passed and elapsed < 1.0,
+        f"{result.detail}, {elapsed:.2f}s",
     )
 
 
 def test_criterion_2_round_trip_correction():
-    worst = 0.0
-    for setup in random_setups(1000, seed=2025, gamma_range=(0.7072, 0.9999)):
-        p_m = meter_probabilities(setup)
-        p_b = b_probabilities(setup)
-        rec_a = recover_a(p_m, setup.coupling)
-        rec_b = recover_b(p_b, p_m, setup.b_dir, setup.coupling)
-        s2 = math.sin(setup.state.alpha) ** 2
-        born_plus = born_probability(setup.state, setup.b_dir, +1)
-        worst = max(
-            worst,
-            abs(rec_a.p_plus - s2),
-            abs(rec_a.p_minus - (1.0 - s2)),
-            abs(rec_b.p_plus - born_plus),
-            abs(rec_b.p_minus - (1.0 - born_plus)),
-        )
-
-    setup = default_setup()
-    p_m, p_b = meter_probabilities(setup), b_probabilities(setup)
     zero_strength, projective = Coupling(GAMMA_MIN), Coupling(1.0)
     assert zero_strength.kappa == 0.0 and projective.deco == 0.0
-    failures_ok = True
-    for call in (
-        lambda: recover_a(p_m, zero_strength),
-        lambda: recover_b(p_b, p_m, setup.b_dir, zero_strength),
-        lambda: recover_b(p_b, p_m, setup.b_dir, projective),
-    ):
-        try:
-            call()
-            failures_ok = False
-        except DegenerateCoupling:
-            pass
-    conclude(
-        2,
-        "round-trip correction",
-        worst <= 1e-10 and failures_ok,
-        f"max dev {worst:.2e}, degenerate couplings refuse: {failures_ok}",
-    )
+    result = suite_round_trip(count=1000, seed=2025, tol=1e-10)
+    conclude(2, "round-trip correction", result.passed, result.detail)
 
 
 def test_criterion_3_unbiasedness():
@@ -215,31 +161,12 @@ def test_criterion_6_tradeoff_reproduction():
 
 
 def test_criterion_7_znzd():
-    gammas = np.linspace(GAMMA_MIN, 1.0, 50)
-    max_drift = 0.0
-    znzd_ok = True
     for state, direction in znzd_states(100, seed=77, nontrivial=True):
         assert abs(math.cos(direction.varphi - state.phi)) < 1e-12
-        values = [
-            b_probabilities(JointSetup(state, direction, Coupling(g))).p_plus for g in gammas
-        ]
-        max_drift = max(max_drift, max(values) - min(values))
-        znzd_ok &= is_znzd(state, direction) is ZnzdClass.NONTRIVIAL
-    min_variation = math.inf
-    generic_ok = True
-    for state, direction in znzd_states(100, seed=78, nontrivial=False):
-        values = [
-            b_probabilities(JointSetup(state, direction, Coupling(g))).p_plus for g in gammas
-        ]
-        min_variation = min(min_variation, max(values) - min(values))
-        generic_ok &= is_znzd(state, direction) is ZnzdClass.NOT_ZNZD
-    ok = znzd_ok and generic_ok and max_drift <= 1e-12 and min_variation > 1e-6
-    conclude(
-        7,
-        "ZNZD invariance",
-        ok,
-        f"max drift {max_drift:.2e}, min generic variation {min_variation:.2e}",
+    result = suite_znzd(
+        count=100, seed=77, grid=50, invariance_tol=1e-12, variation_floor=1e-6
     )
+    conclude(7, "ZNZD invariance", result.passed, result.detail)
 
 
 def test_criterion_8_determinism(capsys):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from seqmeas.cli import main
+from seqmeas.cli import _render_rows, main
 
 E1_ARGS = [
     "--alpha", "0.5235987755982988",
@@ -19,6 +19,15 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """Parse JSON, refusing the non-standard NaN and Infinity constants."""
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestProbs:
@@ -109,6 +118,14 @@ class TestEstimate:
         _, sharded, _ = run(capsys, [*argv, "--workers", "4"])
         assert first == second == sharded
 
+    def test_single_trial_reports_infinite_z_as_null(self, capsys):
+        # one trial has zero plug-in variance but a bias, so |z| is infinite
+        code, out, _ = run(capsys, ["estimate", *E1_ARGS, "--trials", "1", "--seed", "42"])
+        assert code == 0
+        report = strict_json(out)
+        assert report["se_A"] == 0.0 and report["est_A"] != report["true_A"]
+        assert report["z_A"] is None
+
     def test_projective_gamma_names_b_channel(self, capsys):
         code, _, err = run(capsys, ["estimate", "--gamma", "1.0", "--trials", "100", "--seed", "1"])
         assert code == 2
@@ -162,6 +179,14 @@ class TestTradeoff:
         code, _, err = run(capsys, ["tradeoff", "--alpha", "0", "--phi", "0"])
         assert code == 2
         assert "eigenstate" in err
+
+
+    def test_invalid_rows_render_as_null(self):
+        rows = [[0.8, 0.6, math.nan, math.nan]]
+        columns = ["gamma", "kappa", "epsilon", "eta"]
+        (row,) = strict_json(_render_rows(columns, rows, "json"))
+        assert row == {"gamma": 0.8, "kappa": 0.6, "epsilon": None, "eta": None}
+        assert _render_rows(columns, rows, "csv") == "gamma,kappa,epsilon,eta\n0.8,0.6,nan,nan\n"
 
 
 class TestZnzd:
@@ -229,6 +254,28 @@ class TestVerify:
         for seed in range(10):
             results = run_verification(seed=seed, trials=50_000, repeats=200)
             assert all(r.passed for r in results), f"verdict flipped at seed {seed}"
+
+
+REMOVED_OPTIONS = [
+    ("estimate", "--repeats", "5"),
+    *(("verify", name, "1") for name in (
+        "--alpha", "--phi", "--theta", "--varphi", "--gamma", "--kappa", "--trials", "--repeats",
+    )),
+    ("verify", "--degrees", None),
+    ("tradeoff", "--gamma", "0.9"),
+    ("tradeoff", "--kappa", "0.5"),
+    ("znzd", "--gamma", "0.9"),
+    ("znzd", "--kappa", "0.5"),
+]
+
+
+@pytest.mark.parametrize("command,option,value", REMOVED_OPTIONS)
+def test_unread_option_is_rejected(capsys, command, option, value):
+    argv = [command, option] + ([value] if value is not None else [])
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert option in capsys.readouterr().err
 
 
 class TestSeedAndOutput:

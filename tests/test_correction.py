@@ -22,9 +22,9 @@ from seqmeas import (
     recover_all,
     recover_b,
 )
+from seqmeas.coupling import GAMMA_MIN
 from seqmeas.verify import b_variation_over_gamma, random_setups, znzd_states
 
-GAMMA_MIN = 1.0 / math.sqrt(2.0)
 E1_METER = BinaryDistribution(0.35, 0.65)
 E1_B = BinaryDistribution(0.8464101615137753, 0.1535898384862247)
 E1_DIR = make_direction(math.pi / 2, 0.0)

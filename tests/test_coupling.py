@@ -19,9 +19,8 @@ from seqmeas import (
     post_measurement_density,
 )
 from seqmeas import oracle
+from seqmeas.coupling import GAMMA_MIN
 from seqmeas.verify import random_setups
-
-GAMMA_MIN = 1.0 / math.sqrt(2.0)
 
 
 class TestCoupling:

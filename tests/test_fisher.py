@@ -26,10 +26,9 @@ from seqmeas import (
     precisions,
     tradeoff_curve,
 )
+from seqmeas.coupling import GAMMA_MIN
 from seqmeas.qubit import a_direction
 from seqmeas.verify import random_setups
-
-GAMMA_MIN = 1.0 / math.sqrt(2.0)
 
 
 def fd_fisher(p_of_x, x0, h=1e-5):

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from seqmeas import (
     sample,
     unbiasedness_check,
 )
-from seqmeas.montecarlo import _z_score, derive_seed, trial_uniforms
+from seqmeas.coupling import GAMMA_MIN
+from seqmeas.montecarlo import _thread_count, _z_score, derive_seed, trial_uniforms
 
-GAMMA_MIN = 1.0 / math.sqrt(2.0)
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -146,6 +147,21 @@ class TestEstimate:
             estimate(batch, JointSetup(state, direction, Coupling(1.0)))
 
 
+class TestThreadCount:
+    # checked on the helper alone: no thread is started
+    def test_capped_by_cores(self):
+        cores = os.cpu_count() or 1
+        assert _thread_count(10**9, 10**12) == cores
+        assert _thread_count(2**63, 2**63) == cores
+
+    def test_capped_by_trials(self):
+        assert _thread_count(10**9, 1) == 1
+        assert _thread_count(10**9, 2) == min(2, os.cpu_count() or 1)
+
+    def test_never_above_request(self):
+        assert _thread_count(1, 10**12) == 1
+
+
 class TestZScore:
     def test_ordinary(self):
         assert _z_score(1.2, 1.0, 0.1) == pytest.approx(2.0, abs=1e-12)
@@ -191,9 +207,10 @@ class TestCrbCheck:
 
     def test_variance_identity_for_a(self, worked_setup):
         # Var(est_A) = 1 / (n I_A_joint) exactly under the multinomial law
-        from seqmeas.montecarlo import _affine_variance, _estimator_coefficients
+        from seqmeas.correction import estimator_weights
+        from seqmeas.montecarlo import _affine_variance
 
-        w_a, _ = _estimator_coefficients(worked_setup)
+        w_a, _ = estimator_weights(worked_setup)
         law = joint_distribution(worked_setup).as_array()
         n = 12345
         assert _affine_variance(w_a, law, n) == pytest.approx(report_free_crb(worked_setup, n), rel=1e-12)
