@@ -8,15 +8,16 @@ Subcommands::
     seqmeas verify    self-verification suites, nonzero exit on failure
     seqmeas znzd      zero-noise-zero-disturbance classification / locus scan
 
-Each subcommand accepts only the options it reads.  Angles are radians
-(``--degrees`` converts at parse time); ``probs`` and ``estimate`` take the
-coupling either as ``--gamma`` or as the strength ``--kappa``.  All numeric
-output carries 9 significant digits, identically in JSON and CSV (a
+Each subcommand accepts only the options it reads; argparse validates and
+defaults each of them.  Angles are radians (``--degrees`` scales the angles
+given, omitted ones keep their radian defaults); ``probs`` and ``estimate``
+take the coupling either as ``--gamma`` or as the strength ``--kappa``.  All
+numeric output carries 9 significant digits, identically in JSON and CSV (a
 non-finite number is ``null`` in JSON), and a fixed ``(config, seed)``
 reproduces output byte for byte; when ``--seed`` is absent the SEQMEAS_SEED
 environment variable supplies the default.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage or output error.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .correction import is_znzd
 from .coupling import (
@@ -41,35 +41,17 @@ from .coupling import (
 from .errors import SeqmeasError
 from .fisher import tradeoff_curve
 from .montecarlo import _z_score, estimate, sample
-from .qubit import a_direction, expectation, make_direction, make_state
-from .verify import DEFAULT_SCENARIO, FAULT_MODES, run_verification
+from .qubit import (ObservableDirection, PureState, a_direction, expectation, make_direction,
+                    make_state)
+from .verify import DEFAULT_SCENARIO, run_verification
 
 SEED_ENV_VAR = "SEQMEAS_SEED"
 DEFAULT_SEED = 42
 
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Validated options shared by the subcommands."""
-
-    alpha: float
-    phi: float
-    theta: float
-    varphi: float
-    gamma: float
-    trials: int
-    grid: int
-    seed: int
-    fmt: str
-    out: str | None
-    workers: int
-
-    def setup(self) -> JointSetup:
-        return JointSetup(
-            make_state(self.alpha, self.phi),
-            make_direction(self.theta, self.varphi),
-            Coupling(self.gamma),
-        )
+# Caps on the two Python loops that grow with an option: the trade-off sweep is
+# linear in --grid, the ZNZD scan quadratic in --scan-points.
+MAX_GRID = 100_000
+MAX_SCAN_POINTS = 2_000
 
 
 def _round9(x: float) -> float:
@@ -140,28 +122,37 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _scenario_dict(config: ScenarioConfig) -> dict:
-    c = Coupling(config.gamma)
-    return {
-        "alpha": config.alpha,
-        "phi": config.phi,
-        "theta": config.theta,
-        "varphi": config.varphi,
-        "gamma": c.gamma,
-        "kappa": c.kappa,
-        "deco": c.deco,
-    }
+def _state_and_direction(args: argparse.Namespace) -> tuple[dict, PureState, ObservableDirection]:
+    """The four angles in radians, and the state and observable they define.
+
+    ``--degrees`` scales only the angles given; an omitted angle keeps its
+    radian value from ``DEFAULT_SCENARIO``.
+    """
+    scale = math.pi / 180.0 if args.degrees else 1.0
+    given = (args.alpha, args.phi, args.theta, args.varphi)
+    alpha, phi, theta, varphi = (default if value is None else value * scale
+                                 for value, default in zip(given, DEFAULT_SCENARIO))
+    angles = {"alpha": alpha, "phi": phi, "theta": theta, "varphi": varphi}
+    return angles, make_state(alpha, phi), make_direction(theta, varphi)
 
 
-def cmd_probs(config: ScenarioConfig) -> int:
-    setup = config.setup()
+def _joint_setup(args: argparse.Namespace) -> tuple[JointSetup, dict]:
+    """The scenario of ``probs`` and ``estimate``, and its report entry."""
+    angles, state, direction = _state_and_direction(args)
+    c = Coupling(args.gamma)
+    scenario = {**angles, "gamma": c.gamma, "kappa": c.kappa, "deco": c.deco}
+    return JointSetup(state, direction, c), scenario
+
+
+def cmd_probs(args: argparse.Namespace) -> int:
+    setup, scenario = _joint_setup(args)
     p_m = meter_probabilities(setup)
     p_b = b_probabilities(setup)
     law = joint_distribution(setup)
     parts = decompose(setup)
     rho = post_measurement_density(setup).entries
     report = {
-        "scenario": _scenario_dict(config),
+        "scenario": scenario,
         "meter": {"p_plus": p_m.p_plus, "p_minus": p_m.p_minus},
         "b_measurement": {"p_plus": p_b.p_plus, "p_minus": p_b.p_minus},
         "joint": {"pp": law.p_pp, "pm": law.p_pm, "mp": law.p_mp, "mm": law.p_mm},
@@ -178,22 +169,22 @@ def cmd_probs(config: ScenarioConfig) -> int:
             "rho11": rho[1, 1].real,
         },
     }
-    _emit(_render_report(report, config.fmt), config.out)
+    _emit(_render_report(report, args.fmt), args.out)
     return 0
 
 
-def cmd_estimate(config: ScenarioConfig) -> int:
-    setup = config.setup()
-    batch = sample(setup, config.trials, config.seed, workers=config.workers)
+def cmd_estimate(args: argparse.Namespace) -> int:
+    setup, scenario = _joint_setup(args)
+    batch = sample(setup, args.trials, args.seed, workers=args.workers)
     stats = estimate(batch, setup)
     true_a = expectation(setup.state, a_direction())
     true_b = expectation(setup.state, setup.b_dir)
     z_a = _z_score(stats.est_A, true_a, stats.se_A)
     z_b = _z_score(stats.est_B, true_b, stats.se_B)
     report = {
-        "scenario": _scenario_dict(config),
-        "trials": config.trials,
-        "seed": config.seed,
+        "scenario": scenario,
+        "trials": args.trials,
+        "seed": args.seed,
         "counts": {"pp": batch.counts[0], "pm": batch.counts[1],
                    "mp": batch.counts[2], "mm": batch.counts[3]},
         "est_A": stats.est_A,
@@ -205,67 +196,86 @@ def cmd_estimate(config: ScenarioConfig) -> int:
         "true_B": true_b,
         "z_B": z_b,
     }
-    _emit(_render_report(report, config.fmt), config.out)
+    _emit(_render_report(report, args.fmt), args.out)
     return 0
 
 
-def cmd_tradeoff(config: ScenarioConfig) -> int:
-    state = make_state(config.alpha, config.phi)
-    direction = make_direction(config.theta, config.varphi)
-    points = tradeoff_curve(state, direction, config.grid)
+def cmd_tradeoff(args: argparse.Namespace) -> int:
+    _, state, direction = _state_and_direction(args)
+    points = tradeoff_curve(state, direction, args.grid)
     rows = [[p.gamma, p.kappa, p.epsilon, p.eta] for p in points]
-    _emit(_render_rows(["gamma", "kappa", "epsilon", "eta"], rows, config.fmt), config.out)
+    _emit(_render_rows(["gamma", "kappa", "epsilon", "eta"], rows, args.fmt), args.out)
     return 0
 
 
-def cmd_znzd(config: ScenarioConfig, scan: bool, scan_points: int, tol: float) -> int:
-    state = make_state(config.alpha, config.phi)
-    direction = make_direction(config.theta, config.varphi)
-    if not scan:
+def cmd_znzd(args: argparse.Namespace) -> int:
+    _, state, direction = _state_and_direction(args)
+    if not args.scan:
         report = {
             "alpha": state.alpha,
             "phi": state.phi,
             "theta": direction.theta,
             "varphi": direction.varphi,
-            "classification": is_znzd(state, direction, tol=tol).value,
+            "classification": is_znzd(state, direction, tol=args.tol).value,
             "cos_delta": math.cos(direction.varphi - state.phi),
             "sin_two_alpha": math.sin(2.0 * state.alpha),
             "sin_theta": math.sin(direction.theta),
         }
-        _emit(_render_report(report, config.fmt), config.out)
+        _emit(_render_report(report, args.fmt), args.out)
         return 0
     rows = []
-    for i in range(scan_points):
-        phi = 2.0 * math.pi * i / scan_points
-        for j in range(1, scan_points):
-            alpha = math.pi * j / scan_points
+    for i in range(args.scan_points):
+        phi = 2.0 * math.pi * i / args.scan_points
+        for j in range(1, args.scan_points):
+            alpha = math.pi * j / args.scan_points
             grid_state = make_state(alpha, phi)
-            verdict = is_znzd(grid_state, direction, tol=tol)
+            verdict = is_znzd(grid_state, direction, tol=args.tol)
             if verdict.value == "nontrivial_znzd":
                 rows.append([grid_state.alpha, grid_state.phi])
-    _emit(_render_rows(["alpha", "phi"], rows, config.fmt), config.out)
+    _emit(_render_rows(["alpha", "phi"], rows, args.fmt), args.out)
     return 0
 
 
-def cmd_verify(config: ScenarioConfig, trials: int | None, repeats: int | None,
-               fault: str | None) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     results = run_verification(
-        seed=config.seed,
-        trials=trials,
-        repeats=repeats,
-        workers=config.workers,
-        fault=fault,
+        seed=args.seed,
+        trials=args.verify_trials,
+        repeats=args.verify_repeats,
+        workers=args.workers,
     )
     all_passed = all(r.passed for r in results)
     report = {
-        "seed": config.seed,
+        "seed": args.seed,
         "suites": [
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
         ],
         "passed": all_passed,
     }
-    _emit(_render_report(report, config.fmt), config.out)
+    _emit(_render_report(report, args.fmt), args.out)
     return 0 if all_passed else 1
+
+
+def _int_in(low: int, high: float = math.inf, source: str = ""):
+    """An argparse type: an integer in ``[low, high]``; ``source`` ends its error."""
+
+    def parse(text: str) -> int:
+        try:
+            if low <= int(text) <= high:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer in [{low}, {high}]{source}, "
+                                         f"got {text!r}")
+
+    return parse
+
+
+def _gamma_of_kappa(text: str) -> float:
+    """The type of ``--kappa``: the strength, stored as the amplitude gamma."""
+    try:
+        return Coupling.from_kappa(float(text)).gamma
+    except ValueError as exc:  # also InvalidParameter
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,23 +285,23 @@ def build_parser() -> argparse.ArgumentParser:
         "exact laws, disturbance-corrected estimates, precision trade-off.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    alpha, phi, theta, varphi, _ = DEFAULT_SCENARIO
+    positive = _int_in(1)
 
     # Option groups; each subcommand takes exactly the groups it reads.
+    # Omitted angles are None and take the default scenario in radians.
     angles = argparse.ArgumentParser(add_help=False)
-    angles.add_argument("--alpha", type=float, default=alpha, help="state polar angle (radians)")
-    angles.add_argument("--phi", type=float, default=phi, help="state relative phase (radians)")
-    angles.add_argument("--theta", type=float, default=theta,
-                        help="observable polar angle (radians)")
-    angles.add_argument("--varphi", type=float, default=varphi,
-                        help="observable azimuthal angle (radians)")
-    angles.add_argument("--degrees", action="store_true", help="angles are given in degrees")
+    angles.add_argument("--alpha", type=float, help="state polar angle (radians)")
+    angles.add_argument("--phi", type=float, help="state relative phase (radians)")
+    angles.add_argument("--theta", type=float, help="observable polar angle (radians)")
+    angles.add_argument("--varphi", type=float, help="observable azimuthal angle (radians)")
+    angles.add_argument("--degrees", action="store_true", help="the angles given are in degrees")
 
     coupling = argparse.ArgumentParser(add_help=False)
     strength = coupling.add_mutually_exclusive_group()
-    strength.add_argument("--gamma", type=float, default=None,
+    strength.add_argument("--gamma", type=float, default=DEFAULT_SCENARIO[4],
                           help="coupling amplitude in [1/sqrt(2), 1]")
-    strength.add_argument("--kappa", type=float, default=None,
+    strength.add_argument("--kappa", dest="gamma", type=_gamma_of_kappa,
+                          default=argparse.SUPPRESS,
                           help="measurement strength in [0, 1] (alternative to --gamma)")
 
     output = argparse.ArgumentParser(add_help=False)
@@ -299,112 +309,55 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--out", default=None, metavar="PATH", help="write output to PATH")
 
     sampling = argparse.ArgumentParser(add_help=False)
-    sampling.add_argument("--seed", type=int, default=None,
-                          help=f"sampling seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
-    sampling.add_argument("--workers", type=int, default=1,
+    # a string default goes through the type too, so $SEQMEAS_SEED is checked
+    sampling.add_argument("--seed", type=_int_in(0, source=f" (--seed or ${SEED_ENV_VAR})"),
+                          default=os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED)),
+                          help=f"sampling seed >= 0 (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
+    sampling.add_argument("--workers", type=positive, default=1,
                           help="shard sampling across up to N threads, at most one per "
                           "core (results identical)")
 
     sub.add_parser("probs", parents=[angles, coupling, output],
-                   help="exact outcome laws of one scenario")
+                   help="exact outcome laws of one scenario").set_defaults(run=cmd_probs)
 
     p_est = sub.add_parser("estimate", parents=[angles, coupling, output, sampling],
                            help="Monte Carlo run with corrected estimates")
-    p_est.add_argument("--trials", type=int, default=1_000_000)
+    p_est.add_argument("--trials", type=positive, default=1_000_000)
+    p_est.set_defaults(run=cmd_estimate)
 
     p_trade = sub.add_parser("tradeoff", parents=[angles, output],
                              help="precision trade-off sweep over the coupling")
-    p_trade.add_argument("--grid", type=int, default=100,
+    p_trade.add_argument("--grid", type=_int_in(2, MAX_GRID), default=100,
                          help="number of swept couplings between the endpoint rows")
+    p_trade.set_defaults(run=cmd_tradeoff)
 
     p_verify = sub.add_parser("verify", parents=[output, sampling],
                               help="run the self-verification suites")
-    p_verify.add_argument("--verify-trials", type=int, default=None,
+    p_verify.add_argument("--verify-trials", type=positive, default=None,
                           help="override trials for both statistical suites")
-    p_verify.add_argument("--verify-repeats", type=int, default=None,
+    p_verify.add_argument("--verify-repeats", type=positive, default=None,
                           help="override repeats for both statistical suites")
-    p_verify.add_argument("--inject-fault", choices=FAULT_MODES, default=None,
-                          help=argparse.SUPPRESS)
+    p_verify.set_defaults(run=cmd_verify)
 
     p_znzd = sub.add_parser("znzd", parents=[angles, output],
                             help="classify the state / scan the ZNZD locus")
     p_znzd.add_argument("--scan", action="store_true",
                         help="scan a (phi, alpha) grid and emit the nontrivial locus")
-    p_znzd.add_argument("--scan-points", type=int, default=360,
+    p_znzd.add_argument("--scan-points", type=_int_in(4, MAX_SCAN_POINTS), default=360,
                         help="grid resolution per angle for --scan")
     p_znzd.add_argument("--tol", type=float, default=1e-9,
                         help="tolerance for the classification tests")
+    p_znzd.set_defaults(run=cmd_znzd)
     return parser
 
 
-def _resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> ScenarioConfig:
-    # Subcommands without a scenario option (verify, or the coupling of
-    # tradeoff and znzd) get the default scenario, which they never read.
-    alpha, phi, theta, varphi, gamma = DEFAULT_SCENARIO
-    scale = math.pi / 180.0 if getattr(args, "degrees", False) else 1.0
-    if getattr(args, "kappa", None) is not None:
-        try:
-            gamma = Coupling.from_kappa(args.kappa).gamma
-        except SeqmeasError as exc:
-            parser.error(f"--kappa: {exc}")
-    elif getattr(args, "gamma", None) is not None:
-        gamma = args.gamma
-
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        env = os.environ.get(SEED_ENV_VAR)
-        try:
-            seed = int(env) if env is not None else DEFAULT_SEED
-        except ValueError:
-            parser.error(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-
-    trials = getattr(args, "trials", 1)
-    grid = getattr(args, "grid", 2)
-    workers = getattr(args, "workers", 1)
-    for name, value in (("--trials", trials), ("--workers", workers)):
-        if value < 1:
-            parser.error(f"{name} must be a positive integer, got {value}")
-    if grid < 2:
-        parser.error(f"--grid must be at least 2, got {grid}")
-    if getattr(args, "scan_points", 4) < 4:
-        parser.error("--scan-points must be at least 4")
-
-    return ScenarioConfig(
-        alpha=getattr(args, "alpha", alpha) * scale,
-        phi=getattr(args, "phi", phi) * scale,
-        theta=getattr(args, "theta", theta) * scale,
-        varphi=getattr(args, "varphi", varphi) * scale,
-        gamma=gamma,
-        trials=trials,
-        grid=grid,
-        seed=seed,
-        fmt=args.fmt,
-        out=args.out,
-        workers=workers,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = _resolve_config(parser, args)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "probs":
-            return cmd_probs(config)
-        if args.command == "estimate":
-            return cmd_estimate(config)
-        if args.command == "tradeoff":
-            return cmd_tradeoff(config)
-        if args.command == "verify":
-            return cmd_verify(config, args.verify_trials, args.verify_repeats,
-                              args.inject_fault)
-        if args.command == "znzd":
-            return cmd_znzd(config, args.scan, args.scan_points, args.tol)
-        parser.error(f"unknown command {args.command!r}")
-    except SeqmeasError as exc:
+        return args.run(args)
+    except (SeqmeasError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

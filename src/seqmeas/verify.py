@@ -4,9 +4,6 @@ Each suite returns a :class:`SuiteResult`; :func:`run_verification` bundles the
 five standard suites.  The suites are deterministic for a given seed (scenario
 sampling uses a seeded generator, Monte Carlo uses the counter-based sampler),
 so a verification run is reproducible byte for byte.
-
-``fault`` injects a deliberate model-side error (used as a negative control to
-prove the oracle comparison has teeth); production callers leave it ``None``.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from . import oracle
 from .correction import ZnzdClass, is_znzd, recover_a, recover_b
 from .coupling import (
     GAMMA_MIN,
-    BinaryDistribution,
     Coupling,
     JointSetup,
     b_probabilities,
@@ -29,7 +25,7 @@ from .coupling import (
     meter_probabilities,
     post_measurement_density,
 )
-from .errors import DegenerateCoupling, InvalidParameter
+from .errors import DegenerateCoupling
 from .montecarlo import crb_check, unbiasedness_check
 from .qubit import born_probability, make_direction, make_state
 
@@ -44,8 +40,6 @@ DEFAULT_SCENARIO = (math.pi / 6, 0.0, math.pi / 2, 0.0, math.sqrt(0.8))
 # Verdict-stability band for the variance-ratio suite (about 3 sigma at 200
 # repeats); tighter bands are meaningful only at a pinned seed.
 VERIFY_RATIO_BAND = (0.7, 1.3)
-
-FAULT_MODES = ("deco",)
 
 
 @dataclass(frozen=True)
@@ -72,24 +66,13 @@ def random_setups(count: int, seed: int, gamma_range=RANDOM_GAMMA_RANGE) -> list
     return setups
 
 
-def _faulty_b_probabilities(setup: JointSetup, fault: str | None) -> BinaryDistribution:
-    p = b_probabilities(setup)
-    if fault is None:
-        return p
-    if fault == "deco":
-        return BinaryDistribution(p.p_plus + 1e-3, p.p_minus - 1e-3)
-    raise InvalidParameter(f"unknown fault mode {fault!r}; known: {FAULT_MODES}")
-
-
-def suite_oracle_equivalence(
-    count: int = 1000, seed: int = 0, tol: float = 1e-10, fault: str | None = None
-) -> SuiteResult:
+def suite_oracle_equivalence(count: int = 1000, seed: int = 0, tol: float = 1e-10) -> SuiteResult:
     """Closed forms against the brute-force tensor simulation."""
     worst = 0.0
     for setup in random_setups(count, seed):
         ref = oracle.simulate(setup)
         p_m = meter_probabilities(setup)
-        p_b = _faulty_b_probabilities(setup, fault)
+        p_b = b_probabilities(setup)
         law = joint_distribution(setup)
         rho = post_measurement_density(setup).entries
         errs = [
@@ -280,12 +263,11 @@ def run_verification(
     trials: int | None = None,
     repeats: int | None = None,
     workers: int = 1,
-    fault: str | None = None,
 ) -> list[SuiteResult]:
     """All five standard suites; ``trials``/``repeats`` override both statistical suites."""
     setup = default_setup()
     return [
-        suite_oracle_equivalence(seed=seed, fault=fault),
+        suite_oracle_equivalence(seed=seed),
         suite_round_trip(seed=seed + 1),
         suite_unbiasedness(
             setup,

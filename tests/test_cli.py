@@ -3,7 +3,9 @@ import math
 
 import pytest
 
-from seqmeas.cli import _render_rows, main
+from seqmeas import verify
+from seqmeas.cli import MAX_GRID, MAX_SCAN_POINTS, _render_rows, main
+from seqmeas.coupling import BinaryDistribution
 
 E1_ARGS = [
     "--alpha", "0.5235987755982988",
@@ -73,6 +75,15 @@ class TestProbs:
         assert deg["b_measurement"]["p_plus"] == pytest.approx(
             rad["b_measurement"]["p_plus"], abs=1e-9
         )
+
+    def test_degrees_keeps_omitted_angles_at_their_radian_defaults(self, capsys):
+        _, plain, _ = run(capsys, ["probs"])
+        _, scaled, _ = run(capsys, ["probs", "--degrees"])
+        assert scaled == plain
+        _, out, _ = run(capsys, ["znzd", "--degrees", "--alpha", "45"])
+        report = json.loads(out)
+        assert report["alpha"] == pytest.approx(math.pi / 4, abs=1e-8)
+        assert report["theta"] == pytest.approx(math.pi / 2, abs=1e-8)
 
     def test_kappa_alias(self, capsys):
         _, by_gamma, _ = run(capsys, ["probs", *E1_ARGS])
@@ -167,6 +178,12 @@ class TestTradeoff:
             main(["tradeoff", *self.FIG_ARGS, "--grid", "1"])
         assert excinfo.value.code == 2
 
+    def test_grid_above_cap(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tradeoff", *self.FIG_ARGS, "--grid", str(MAX_GRID + 1)])
+        assert excinfo.value.code == 2
+        assert "--grid" in capsys.readouterr().err
+
     def test_znzd_input_rejected(self, capsys):
         code, _, err = run(capsys, [
             "tradeoff", "--alpha", "0.7853981633974483", "--phi", "1.5707963267948966",
@@ -215,6 +232,12 @@ class TestZnzd:
         assert phis == [pytest.approx(math.pi / 2), pytest.approx(3 * math.pi / 2)]
         assert all(abs(math.sin(2 * row["alpha"])) > 1e-9 for row in rows)
 
+    def test_scan_points_above_cap(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["znzd", "--scan", "--scan-points", str(MAX_SCAN_POINTS + 1)])
+        assert excinfo.value.code == 2
+        assert "--scan-points" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_passes_and_reports_suites(self, capsys):
@@ -232,8 +255,16 @@ class TestVerify:
         ]
         assert all(suite["passed"] for suite in report["suites"])
 
-    def test_injected_fault_fails(self, capsys):
-        code, out, _ = run(capsys, ["verify", *FAST_VERIFY, "--inject-fault", "deco"])
+    def test_injected_fault_fails(self, capsys, monkeypatch):
+        # negative control: a 1e-3 error in the disturbed law must fail the oracle suite
+        exact = verify.b_probabilities
+
+        def shifted(setup):
+            p = exact(setup)
+            return BinaryDistribution(p.p_plus + 1e-3, p.p_minus - 1e-3)
+
+        monkeypatch.setattr(verify, "b_probabilities", shifted)
+        code, out, _ = run(capsys, ["verify", *FAST_VERIFY])
         assert code == 1
         report = json.loads(out)
         assert report["passed"] is False
@@ -294,6 +325,18 @@ class TestSeedAndOutput:
         with pytest.raises(SystemExit) as excinfo:
             main(["estimate", *E1_ARGS, "--trials", "1000"])
         assert excinfo.value.code == 2
+        assert "SEQMEAS_SEED" in capsys.readouterr().err
+
+    def test_negative_seed_is_a_usage_error(self, capsys, monkeypatch):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--seed", "-5"])
+        assert excinfo.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        monkeypatch.setenv("SEQMEAS_SEED", "-5")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify"])
+        assert excinfo.value.code == 2
+        assert "SEQMEAS_SEED" in capsys.readouterr().err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -302,3 +345,10 @@ class TestSeedAndOutput:
         assert out == ""
         report = json.loads(target.read_text())
         assert report["meter"]["p_plus"] == pytest.approx(0.35, abs=1e-8)
+
+    def test_unwritable_out_path(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, ["probs", "--out", str(target)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
