@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from .correction import is_znzd
 from .coupling import (
@@ -246,9 +247,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     all_passed = all(r.passed for r in results)
     report = {
         "seed": args.seed,
-        "suites": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-        ],
+        "suites": [asdict(r) for r in results],
         "passed": all_passed,
     }
     _emit(_render_report(report, args.fmt), args.out)
