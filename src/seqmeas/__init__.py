@@ -10,13 +10,11 @@ and a deterministic Monte Carlo engine to verify the statistical claims.
 
 from .correction import (
     DEGENERACY_TOL,
-    RecoveredStatistics,
     ZnzdClass,
     estimate_a,
     estimate_b,
     is_znzd,
     recover_a,
-    recover_all,
     recover_b,
 )
 from .coupling import (
@@ -91,7 +89,6 @@ __all__ = [
     "JointSetup",
     "ObservableDirection",
     "PureState",
-    "RecoveredStatistics",
     "SampleStats",
     "SeqmeasError",
     "TradeoffPoint",
@@ -125,7 +122,6 @@ __all__ = [
     "precisions",
     "projector",
     "recover_a",
-    "recover_all",
     "recover_b",
     "sample",
     "tradeoff_curve",

@@ -23,13 +23,15 @@ Exit codes: 0 success, 1 verification failure, 2 usage or output error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 from dataclasses import asdict
+from typing import TextIO
 
-from .correction import is_znzd
+from .correction import ZNZD_TOL, ZnzdClass, is_znzd
 from .coupling import (
     Coupling,
     JointSetup,
@@ -53,6 +55,12 @@ DEFAULT_SEED = 42
 # linear in --grid, the ZNZD scan quadratic in --scan-points.
 MAX_GRID = 100_000
 MAX_SCAN_POINTS = 2_000
+
+# Caps on the sampled trials: one estimate run, and each statistical suite of
+# verify (2 suites x repeats x trials, at most 1e10 trials in all).
+MAX_TRIALS = 10**10
+MAX_VERIFY_TRIALS = 10**7
+MAX_VERIFY_REPEATS = 500
 
 
 def _round9(x: float) -> float:
@@ -115,14 +123,6 @@ def _render_rows(columns: list[str], rows: list[list], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-
-
 def _state_and_direction(args: argparse.Namespace) -> tuple[dict, PureState, ObservableDirection]:
     """The four angles in radians, and the state and observable they define.
 
@@ -145,7 +145,7 @@ def _joint_setup(args: argparse.Namespace) -> tuple[JointSetup, dict]:
     return JointSetup(state, direction, c), scenario
 
 
-def cmd_probs(args: argparse.Namespace) -> int:
+def cmd_probs(args: argparse.Namespace, out: TextIO) -> int:
     setup, scenario = _joint_setup(args)
     p_m = meter_probabilities(setup)
     p_b = b_probabilities(setup)
@@ -170,11 +170,11 @@ def cmd_probs(args: argparse.Namespace) -> int:
             "rho11": rho[1, 1].real,
         },
     }
-    _emit(_render_report(report, args.fmt), args.out)
+    out.write(_render_report(report, args.fmt))
     return 0
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
+def cmd_estimate(args: argparse.Namespace, out: TextIO) -> int:
     setup, scenario = _joint_setup(args)
     batch = sample(setup, args.trials, args.seed, workers=args.workers)
     stats = estimate(batch, setup)
@@ -197,19 +197,19 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "true_B": true_b,
         "z_B": z_b,
     }
-    _emit(_render_report(report, args.fmt), args.out)
+    out.write(_render_report(report, args.fmt))
     return 0
 
 
-def cmd_tradeoff(args: argparse.Namespace) -> int:
+def cmd_tradeoff(args: argparse.Namespace, out: TextIO) -> int:
     _, state, direction = _state_and_direction(args)
     points = tradeoff_curve(state, direction, args.grid)
     rows = [[p.gamma, p.kappa, p.epsilon, p.eta] for p in points]
-    _emit(_render_rows(["gamma", "kappa", "epsilon", "eta"], rows, args.fmt), args.out)
+    out.write(_render_rows(["gamma", "kappa", "epsilon", "eta"], rows, args.fmt))
     return 0
 
 
-def cmd_znzd(args: argparse.Namespace) -> int:
+def cmd_znzd(args: argparse.Namespace, out: TextIO) -> int:
     _, state, direction = _state_and_direction(args)
     if not args.scan:
         report = {
@@ -222,7 +222,7 @@ def cmd_znzd(args: argparse.Namespace) -> int:
             "sin_two_alpha": math.sin(2.0 * state.alpha),
             "sin_theta": math.sin(direction.theta),
         }
-        _emit(_render_report(report, args.fmt), args.out)
+        out.write(_render_report(report, args.fmt))
         return 0
     rows = []
     for i in range(args.scan_points):
@@ -231,13 +231,13 @@ def cmd_znzd(args: argparse.Namespace) -> int:
             alpha = math.pi * j / args.scan_points
             grid_state = make_state(alpha, phi)
             verdict = is_znzd(grid_state, direction, tol=args.tol)
-            if verdict.value == "nontrivial_znzd":
+            if verdict is ZnzdClass.NONTRIVIAL:
                 rows.append([grid_state.alpha, grid_state.phi])
-    _emit(_render_rows(["alpha", "phi"], rows, args.fmt), args.out)
+    out.write(_render_rows(["alpha", "phi"], rows, args.fmt))
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     results = run_verification(
         seed=args.seed,
         trials=args.verify_trials,
@@ -250,7 +250,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "suites": [asdict(r) for r in results],
         "passed": all_passed,
     }
-    _emit(_render_report(report, args.fmt), args.out)
+    out.write(_render_report(report, args.fmt))
     return 0 if all_passed else 1
 
 
@@ -284,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         "exact laws, disturbance-corrected estimates, precision trade-off.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    positive = _int_in(1)
 
     # Option groups; each subcommand takes exactly the groups it reads.
     # Omitted angles are None and take the default scenario in radians.
@@ -312,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sampling.add_argument("--seed", type=_int_in(0, source=f" (--seed or ${SEED_ENV_VAR})"),
                           default=os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED)),
                           help=f"sampling seed >= 0 (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
-    sampling.add_argument("--workers", type=positive, default=1,
+    sampling.add_argument("--workers", type=_int_in(1), default=1,
                           help="shard sampling across up to N threads, at most one per "
                           "core (results identical)")
 
@@ -321,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", parents=[angles, coupling, output, sampling],
                            help="Monte Carlo run with corrected estimates")
-    p_est.add_argument("--trials", type=positive, default=1_000_000)
+    p_est.add_argument("--trials", type=_int_in(1, MAX_TRIALS), default=1_000_000)
     p_est.set_defaults(run=cmd_estimate)
 
     p_trade = sub.add_parser("tradeoff", parents=[angles, output],
@@ -332,9 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[output, sampling],
                               help="run the self-verification suites")
-    p_verify.add_argument("--verify-trials", type=positive, default=None,
+    p_verify.add_argument("--verify-trials", type=_int_in(1, MAX_VERIFY_TRIALS), default=None,
                           help="override trials for both statistical suites")
-    p_verify.add_argument("--verify-repeats", type=positive, default=None,
+    p_verify.add_argument("--verify-repeats", type=_int_in(1, MAX_VERIFY_REPEATS), default=None,
                           help="override repeats for both statistical suites")
     p_verify.set_defaults(run=cmd_verify)
 
@@ -344,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scan a (phi, alpha) grid and emit the nontrivial locus")
     p_znzd.add_argument("--scan-points", type=_int_in(4, MAX_SCAN_POINTS), default=360,
                         help="grid resolution per angle for --scan")
-    p_znzd.add_argument("--tol", type=float, default=1e-9,
+    p_znzd.add_argument("--tol", type=float, default=ZNZD_TOL,
                         help="tolerance for the classification tests")
     p_znzd.set_defaults(run=cmd_znzd)
     return parser
@@ -353,7 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        # --out is opened before the command computes, so a bad path fails at once
+        with (contextlib.nullcontext(sys.stdout) if args.out is None
+              else open(args.out, "w", encoding="utf-8", newline="\n")) as out:
+            return args.run(args, out)
     except (SeqmeasError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +29,9 @@ from .qubit import ObservableDirection, PureState
 # than allowed to amplify noise without bound.
 DEGENERACY_TOL = 1e-9
 
+# Default tolerance of the ZNZD classification tests.
+ZNZD_TOL = 1e-9
+
 
 class ZnzdClass(enum.Enum):
     """Whether a pre-measurement leaves the second measurement's statistics unchanged."""
@@ -37,15 +39,6 @@ class ZnzdClass(enum.Enum):
     TRIVIAL = "trivial_znzd"
     NONTRIVIAL = "nontrivial_znzd"
     NOT_ZNZD = "not_znzd"
-
-
-@dataclass(frozen=True)
-class RecoveredStatistics:
-    """Recovered outcome laws of both observables, with an advisory range flag."""
-
-    p_A: BinaryDistribution
-    p_B: BinaryDistribution
-    in_range: bool
 
 
 def ensure_informative(c: Coupling) -> None:
@@ -146,21 +139,7 @@ def estimator_weights(setup: JointSetup) -> tuple[np.ndarray, np.ndarray]:
     return np.array(w_a), np.array(w_b)
 
 
-def recover_all(
-    p_b: BinaryDistribution,
-    p_m: BinaryDistribution,
-    direction: ObservableDirection,
-    c: Coupling,
-    range_tol: float = 1e-9,
-) -> RecoveredStatistics:
-    """Recover both outcome laws and flag values outside [0, 1] beyond ``range_tol``."""
-    p_a_rec = recover_a(p_m, c)
-    p_b_rec = recover_b(p_b, p_m, direction, c)
-    ok = p_a_rec.within_unit_interval(range_tol) and p_b_rec.within_unit_interval(range_tol)
-    return RecoveredStatistics(p_A=p_a_rec, p_B=p_b_rec, in_range=ok)
-
-
-def is_znzd(state: PureState, direction: ObservableDirection, tol: float = 1e-9) -> ZnzdClass:
+def is_znzd(state: PureState, direction: ObservableDirection, tol: float = ZNZD_TOL) -> ZnzdClass:
     """Classify whether the pre-measurement disturbs the second measurement.
 
     The coherent term carries the factor

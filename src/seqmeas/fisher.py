@@ -150,8 +150,8 @@ def tradeoff_curve(
     if grid < 2:
         raise InvalidParameter(f"grid must be >= 2, got {grid!r}")
     # Fails with DegenerateDistribution for eigenstates of either observable.
-    fisher_a_proj(state)
-    fisher_b_proj(state, direction)
+    i_a_proj = fisher_a_proj(state)
+    i_b_proj = fisher_b_proj(state, direction)
     if is_znzd(state, direction) is not ZnzdClass.NOT_ZNZD:
         raise InvalidParameter(
             "the second measurement's statistics are coupling-invariant for "
@@ -164,10 +164,10 @@ def tradeoff_curve(
         gamma = lo + (hi - lo) * k / (grid - 1)
         coupling = Coupling(gamma)
         try:
-            report = precisions(JointSetup(state, direction, coupling))
-            points.append(
-                TradeoffPoint(gamma, coupling.kappa, report.epsilon, report.eta)
-            )
+            law = joint_distribution(JointSetup(state, direction, coupling))
+            epsilon = _meter_information(law.meter_marginal(), coupling) / i_a_proj
+            eta = _b_information(law.b_marginal(), coupling) / i_b_proj
+            points.append(TradeoffPoint(gamma, coupling.kappa, epsilon, eta))
         except DegenerateDistribution:
             points.append(
                 TradeoffPoint(gamma, coupling.kappa, math.nan, math.nan, valid=False)

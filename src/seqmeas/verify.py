@@ -26,7 +26,7 @@ from .coupling import (
     post_measurement_density,
 )
 from .errors import DegenerateCoupling
-from .montecarlo import crb_check, unbiasedness_check
+from .montecarlo import Z_LIMIT, crb_check, unbiasedness_check
 from .qubit import born_probability, make_direction, make_state
 
 # Coupling range for randomized oracle comparisons; strictly inside the domain
@@ -124,6 +124,15 @@ def suite_round_trip(count: int = 1000, seed: int = 1, tol: float = 1e-10) -> Su
     )
 
 
+def _refuses(recover, *args) -> bool:
+    """Whether ``recover(*args)`` raises :class:`DegenerateCoupling`."""
+    try:
+        recover(*args)
+    except DegenerateCoupling:
+        return True
+    return False
+
+
 def _degenerate_couplings_refuse() -> bool:
     """kappa = 0 must fail both channels, deco = 0 only the B channel."""
     setup = default_setup()
@@ -131,57 +140,44 @@ def _degenerate_couplings_refuse() -> bool:
     p_b = b_probabilities(setup)
     zero_strength = Coupling(GAMMA_MIN)
     projective = Coupling(1.0)
-    checks = []
-    for fn in (lambda: recover_a(p_m, zero_strength),
-               lambda: recover_b(p_b, p_m, setup.b_dir, zero_strength),
-               lambda: recover_b(p_b, p_m, setup.b_dir, projective)):
-        try:
-            fn()
-            checks.append(False)
-        except DegenerateCoupling:
-            checks.append(True)
-    try:
-        recover_a(p_m, projective)  # A channel is fine at full strength
-        checks.append(True)
-    except DegenerateCoupling:
-        checks.append(False)
-    return all(checks)
+    return (
+        _refuses(recover_a, p_m, zero_strength)
+        and _refuses(recover_b, p_b, p_m, setup.b_dir, zero_strength)
+        and _refuses(recover_b, p_b, p_m, setup.b_dir, projective)
+        and not _refuses(recover_a, p_m, projective)  # A channel is fine at full strength
+    )
 
 
 def suite_unbiasedness(
-    setup: JointSetup | None = None,
+    setup: JointSetup,
     trials: int = 1_000_000,
     repeats: int = 30,
     seed: int = 2,
-    z_limit: float = 5.0,
     workers: int = 1,
 ) -> SuiteResult:
-    """Mean of repeated estimates within ``z_limit`` standard errors of truth."""
-    setup = setup or default_setup()
-    rep = unbiasedness_check(setup, trials, repeats, seed, z_limit=z_limit, workers=workers)
+    """Mean of repeated estimates within ``Z_LIMIT`` standard errors of truth."""
+    rep = unbiasedness_check(setup, trials, repeats, seed, workers=workers)
     return SuiteResult(
         name="unbiasedness",
         passed=rep.pass_A and rep.pass_B,
         detail=(
             f"z_A {rep.z_A:+.2f}, z_B {rep.z_B:+.2f} "
-            f"({repeats} x {trials} trials, limit {z_limit:g})"
+            f"({repeats} x {trials} trials, limit {Z_LIMIT:g})"
         ),
         metrics={"z_A": rep.z_A, "z_B": rep.z_B, "mean_A": rep.mean_A, "mean_B": rep.mean_B},
     )
 
 
 def suite_crb(
-    setup: JointSetup | None = None,
+    setup: JointSetup,
     trials: int = 100_000,
     repeats: int = 200,
     seed: int = 3,
-    ratio_band: tuple[float, float] = VERIFY_RATIO_BAND,
     workers: int = 1,
 ) -> SuiteResult:
     """Variance ratios against the saturated bound and the multinomial propagation."""
-    setup = setup or default_setup()
     rep = crb_check(setup, trials, repeats, seed, workers=workers)
-    lo, hi = ratio_band
+    lo, hi = VERIFY_RATIO_BAND
     passed = lo <= rep.ratio_A <= hi and lo <= rep.ratio_B <= hi
     return SuiteResult(
         name="cramer_rao",
@@ -266,22 +262,12 @@ def run_verification(
 ) -> list[SuiteResult]:
     """All five standard suites; ``trials``/``repeats`` override both statistical suites."""
     setup = default_setup()
+    sizes = {name: value for name, value in (("trials", trials), ("repeats", repeats))
+             if value is not None}
     return [
         suite_oracle_equivalence(seed=seed),
         suite_round_trip(seed=seed + 1),
-        suite_unbiasedness(
-            setup,
-            trials=trials or 1_000_000,
-            repeats=repeats or 30,
-            seed=seed + 2,
-            workers=workers,
-        ),
-        suite_crb(
-            setup,
-            trials=trials or 100_000,
-            repeats=repeats or 200,
-            seed=seed + 3,
-            workers=workers,
-        ),
+        suite_unbiasedness(setup, seed=seed + 2, workers=workers, **sizes),
+        suite_crb(setup, seed=seed + 3, workers=workers, **sizes),
         suite_znzd(seed=seed + 4),
     ]

@@ -4,7 +4,9 @@ import math
 import pytest
 
 from seqmeas import verify
-from seqmeas.cli import MAX_GRID, MAX_SCAN_POINTS, _render_rows, main
+from seqmeas import cli
+from seqmeas.cli import (MAX_GRID, MAX_SCAN_POINTS, MAX_TRIALS, MAX_VERIFY_REPEATS,
+                         MAX_VERIFY_TRIALS, _render_rows, main)
 from seqmeas.coupling import BinaryDistribution
 
 E1_ARGS = [
@@ -309,6 +311,19 @@ def test_unread_option_is_rejected(capsys, command, option, value):
     assert option in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,option,cap", [
+    ("estimate", "--trials", MAX_TRIALS),
+    ("verify", "--verify-trials", MAX_VERIFY_TRIALS),
+    ("verify", "--verify-repeats", MAX_VERIFY_REPEATS),
+])
+def test_trials_above_cap(capsys, command, option, cap):
+    # parser only: the run above the cap is refused before any sampling
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, option, str(cap + 1)])
+    assert excinfo.value.code == 2
+    assert option in capsys.readouterr().err
+
+
 class TestSeedAndOutput:
     def test_seed_env_var_used_when_flag_absent(self, capsys, monkeypatch):
         monkeypatch.setenv("SEQMEAS_SEED", "123")
@@ -352,3 +367,19 @@ class TestSeedAndOutput:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and str(target) in err
+
+    def test_unwritable_out_path_fails_before_sampling(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "sample", lambda *args, **kwargs: calls.append(args))
+        target = tmp_path / "missing" / "x.json"
+        code, _, _ = run(capsys, ["estimate", "--out", str(target)])
+        assert code == 2
+        assert calls == []
+
+    def test_failed_run_leaves_out_file_empty(self, capsys, tmp_path):
+        target = tmp_path / "x.json"
+        code, out, err = run(capsys, ["estimate", "--gamma", "1.0", "--trials", "100",
+                                      "--out", str(target)])
+        assert code == 2
+        assert out == "" and "B channel" in err
+        assert target.read_text() == ""

@@ -19,7 +19,6 @@ from seqmeas import (
     make_state,
     meter_probabilities,
     recover_a,
-    recover_all,
     recover_b,
 )
 from seqmeas.coupling import GAMMA_MIN
@@ -134,12 +133,11 @@ class TestRecoverB:
             assert rec.p_minus == pytest.approx(1.0 - born_plus, abs=1e-10)
 
     def test_recover_all_flags_range(self):
-        bundle = recover_all(E1_B, E1_METER, E1_DIR, E1_COUPLING)
-        assert bundle.in_range
+        assert recover_b(E1_B, E1_METER, E1_DIR, E1_COUPLING).within_unit_interval()
         noisy_b = BinaryDistribution(E1_B.p_plus + 0.08, E1_B.p_minus - 0.08)
-        noisy = recover_all(noisy_b, E1_METER, E1_DIR, E1_COUPLING)
-        assert noisy.p_B.p_plus > 1.0  # reported unclamped
-        assert not noisy.in_range
+        noisy = recover_b(noisy_b, E1_METER, E1_DIR, E1_COUPLING)
+        assert noisy.p_plus > 1.0  # reported unclamped
+        assert not noisy.within_unit_interval()
 
 
 class TestEstimateB:

@@ -231,6 +231,26 @@ class TestTradeoffCurve:
         with pytest.raises(InvalidParameter):
             tradeoff_curve(*self.fig_args(), grid=1)
 
+    def test_projective_informations_computed_once(self, monkeypatch):
+        # the denominators depend only on the state: two Born probabilities each
+        import seqmeas.fisher as fisher_mod
+
+        calls = []
+        real_born_probability = fisher_mod.born_probability
+
+        def counted(*args):
+            calls.append(args)
+            return real_born_probability(*args)
+
+        monkeypatch.setattr(fisher_mod, "born_probability", counted)
+        state, direction = self.fig_args()
+        points = tradeoff_curve(state, direction, grid=50)
+        assert len(calls) == 4
+        # each row is bit-identical to the single-scenario precisions
+        for p in points[1:-1]:
+            report = precisions(JointSetup(state, direction, Coupling(p.gamma)))
+            assert (p.epsilon, p.eta) == (report.epsilon, report.eta)
+
     def test_znzd_state_rejected(self):
         state = make_state(math.pi / 4, math.pi / 2)
         with pytest.raises(InvalidParameter, match="ZNZD"):
@@ -248,14 +268,14 @@ class TestTradeoffCurve:
         import seqmeas.fisher as fisher_mod
 
         state, direction = self.fig_args()
-        real_precisions = fisher_mod.precisions
+        real_joint_distribution = fisher_mod.joint_distribution
 
         def flaky(setup):
             if abs(setup.coupling.gamma - 0.85) < 0.01:
                 raise DegenerateDistribution("synthetic row failure")
-            return real_precisions(setup)
+            return real_joint_distribution(setup)
 
-        monkeypatch.setattr(fisher_mod, "precisions", flaky)
+        monkeypatch.setattr(fisher_mod, "joint_distribution", flaky)
         points = fisher_mod.tradeoff_curve(state, direction, grid=30)
         assert len(points) == 32
         invalid = [p for p in points if not p.valid]

@@ -181,6 +181,20 @@ class TestUnbiasednessCheck:
         assert report.pass_A and report.pass_B
         assert abs(report.z_A) < 5 and abs(report.z_B) < 5
 
+    def test_estimator_weights_computed_once(self, worked_setup, monkeypatch):
+        import seqmeas.montecarlo as montecarlo_mod
+
+        calls = []
+        real_estimator_weights = montecarlo_mod.estimator_weights
+
+        def counted(setup):
+            calls.append(setup)
+            return real_estimator_weights(setup)
+
+        monkeypatch.setattr(montecarlo_mod, "estimator_weights", counted)
+        unbiasedness_check(worked_setup, trials=1000, repeats=5, seed=3)
+        assert len(calls) == 1
+
     def test_degenerate_couplings_refuse(self):
         state, direction = make_state(0.6, 0.0), make_direction(1.0, 0.0)
         with pytest.raises(DegenerateCoupling, match="A channel"):
