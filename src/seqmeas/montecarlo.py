@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,15 +22,16 @@ import numpy as np
 from .correction import estimator_weights
 from .coupling import JointSetup, joint_distribution
 from .errors import InvalidParameter
-from .fisher import cramer_rao_bound, fisher_a_joint, fisher_b_joint
+from .fisher import _b_information, _meter_information, cramer_rao_bound
 from .qubit import a_direction, expectation
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _STREAM = 0xD1B54A32D192ED03
 
-# Largest number of trials materialized as one array.
-_CHUNK = 1 << 22
+# Trials materialized as one array: a 2^16-element uint64 buffer is 512 KiB,
+# so a chunk's hash, variates and comparisons stay in a core's L2 cache.
+_CHUNK = 1 << 16
 
 # |z| below which a mean estimate passes the unbiasedness check.
 Z_LIMIT = 5.0
@@ -39,24 +40,30 @@ Z_LIMIT = 5.0
 CRB_TOLERANCE = 0.1
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized over uint64."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, in place over uint64 ``z`` (returned); ``t`` is scratch."""
+    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= np.right_shift(z, np.uint64(shift), out=t)
+        z *= np.uint64(multiplier)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
+    return z
 
 
 def trial_uniforms(seed: int, start: int, stop: int) -> np.ndarray:
     """Uniform [0, 1) variates of trials ``start .. stop-1`` for this seed."""
-    idx = np.arange(start + 1, stop + 1, dtype=np.uint64)
-    z = _mix64(np.uint64(seed & _MASK64) + idx * np.uint64(_GOLDEN))
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    z = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    t = np.empty_like(z)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(seed & _MASK64)
+    np.right_shift(_mix64(z, t), np.uint64(11), out=z)
+    # k * 2^-53 is exact for k < 2^53; the variates reuse the scratch buffer
+    return np.multiply(z, 2.0**-53, out=t.view(np.float64), casting="unsafe")
 
 
 def derive_seed(seed: int, stream: int) -> int:
     """Independent child seed for repeat ``stream`` of a master seed."""
     z = np.array([(seed + (stream + 1) * _STREAM) & _MASK64], dtype=np.uint64)
-    return int(_mix64(z)[0])
+    return int(_mix64(z, np.empty_like(z))[0])
 
 
 @dataclass(frozen=True)
@@ -123,13 +130,12 @@ class CrbReport:
 
 
 def _counts_for_range(cum: np.ndarray, seed: int, start: int, stop: int) -> np.ndarray:
-    counts = np.zeros(4, dtype=np.int64)
+    # trial i falls in a cell <= j exactly when u_i < cum[j] (cum is nondecreasing)
+    below = np.zeros(3, dtype=np.int64)
     for lo in range(start, stop, _CHUNK):
-        hi = min(lo + _CHUNK, stop)
-        u = trial_uniforms(seed, lo, hi)
-        cells = np.searchsorted(cum, u, side="right")
-        counts += np.bincount(cells, minlength=4)[:4]
-    return counts
+        u = trial_uniforms(seed, lo, min(lo + _CHUNK, stop))
+        below += [np.count_nonzero(u < c) for c in cum[:3]]
+    return np.diff(below, prepend=0, append=stop - start)
 
 
 def _thread_count(workers: int, trials: int) -> int:
@@ -138,26 +144,40 @@ def _thread_count(workers: int, trials: int) -> int:
 
 
 def sample(setup: JointSetup, trials: int, seed: int, workers: int = 1) -> TrialBatch:
-    """Draw ``trials`` outcomes of the joint law; trial i depends only on (seed, i)."""
+    """Draw ``trials`` outcomes of the joint law; trial i depends only on (seed, i).
+
+    Several shards run one per thread and a shard's exception is re-raised here;
+    the caller only waits, so a tracer parents the shards on its open span.
+    """
     if trials < 1:
         raise InvalidParameter(f"trials must be >= 1, got {trials!r}")
     if workers < 1:
         raise InvalidParameter(f"workers must be >= 1, got {workers!r}")
     law = joint_distribution(setup)
     cum = np.cumsum(law.as_array())
-    cum[-1] = 1.0  # guard against cumulative rounding below the largest variate
 
     threads = _thread_count(workers, trials)
-    if threads == 1:
-        counts = _counts_for_range(cum, seed, 0, trials)
-    else:
-        bounds = np.linspace(0, trials, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(
-                lambda span: _counts_for_range(cum, seed, span[0], span[1]),
-                zip(bounds[:-1], bounds[1:]),
-            )
-            counts = sum(parts, np.zeros(4, dtype=np.int64))
+    bounds = np.linspace(0, trials, threads + 1, dtype=int).tolist()
+    parts: list = [None] * threads
+    errors: list[Exception] = []
+
+    def run(k: int) -> None:
+        try:
+            parts[k] = _counts_for_range(cum, seed, bounds[k], bounds[k + 1])
+        except Exception as exc:  # re-raised on the caller's thread below
+            errors.append(exc)
+
+    if threads == 1:  # a single shard runs on the caller's thread and starts none
+        run(0)
+    else:  # daemon threads, which an interrupted caller need not wait for
+        shards = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(threads)]
+        for shard in shards:
+            shard.start()
+        for shard in shards:
+            shard.join()
+    if errors:
+        raise errors[0]
+    counts = sum(parts)
     return TrialBatch(counts=tuple(int(c) for c in counts), trials=trials, seed=seed)
 
 
@@ -194,7 +214,7 @@ def _z_score(mean: float, truth: float, se: float) -> float:
 
 def _batch_estimates(
     setup: JointSetup, trials: int, repeats: int, seed: int, workers: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if repeats < 1:
         raise InvalidParameter(f"repeats must be >= 1, got {repeats!r}")
     w_a, w_b = estimator_weights(setup)  # also fails fast on degenerate couplings
@@ -204,14 +224,14 @@ def _batch_estimates(
         f = sample(setup, trials, derive_seed(seed, r), workers=workers).frequencies()
         est_a_vals[r] = w_a @ f
         est_b_vals[r] = w_b @ f
-    return est_a_vals, est_b_vals
+    return est_a_vals, est_b_vals, w_b
 
 
 def unbiasedness_check(
     setup: JointSetup, trials: int, repeats: int, seed: int, workers: int = 1
 ) -> UnbiasednessReport:
     """Compare the mean of repeated estimates against the exact expectations."""
-    est_a_vals, est_b_vals = _batch_estimates(setup, trials, repeats, seed, workers)
+    est_a_vals, est_b_vals, _ = _batch_estimates(setup, trials, repeats, seed, workers)
     true_a = expectation(setup.state, a_direction())
     true_b = expectation(setup.state, setup.b_dir)
     mean_a, mean_b = float(est_a_vals.mean()), float(est_b_vals.mean())
@@ -247,13 +267,13 @@ def crb_check(
     propagation instead; whether it clears the B-channel bound is reported
     but not asserted.
     """
-    est_a_vals, est_b_vals = _batch_estimates(setup, trials, repeats, seed, workers)
+    est_a_vals, est_b_vals, w_b = _batch_estimates(setup, trials, repeats, seed, workers)
     var_a = float(est_a_vals.var(ddof=1))
     var_b = float(est_b_vals.var(ddof=1))
-    crb_a = cramer_rao_bound(fisher_a_joint(setup), trials)
-    crb_b = cramer_rao_bound(fisher_b_joint(setup), trials)
-    _, w_b = estimator_weights(setup)
-    var_b_analytic = _affine_variance(w_b, joint_distribution(setup).as_array(), trials)
+    law = joint_distribution(setup)
+    crb_a = cramer_rao_bound(_meter_information(law.meter_marginal(), setup.coupling), trials)
+    crb_b = cramer_rao_bound(_b_information(law.b_marginal(), setup.coupling), trials)
+    var_b_analytic = _affine_variance(w_b, law.as_array(), trials)
     return CrbReport(
         var_A_emp=var_a,
         crb_A=crb_a,

@@ -1,5 +1,7 @@
 import math
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +22,9 @@ from seqmeas import (
     unbiasedness_check,
 )
 from seqmeas.coupling import GAMMA_MIN
+import seqmeas.montecarlo as montecarlo
 from seqmeas.montecarlo import _thread_count, _z_score, derive_seed, trial_uniforms
+from seqmeas.verify import default_setup
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -33,6 +37,23 @@ def reference_uniform(seed, index):
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     z = (z ^ (z >> 31)) & MASK64
     return (z >> 11) * 2.0**-53
+
+
+def cumulative_law(setup):
+    cum = np.cumsum(joint_distribution(setup).as_array())
+    cum[-1] = 1.0
+    return cum
+
+
+def reference_counts(cum, seed, lo, hi):
+    """Cell counts by binary search over the variates, independent of the kernel."""
+    cells = np.searchsorted(cum, trial_uniforms(seed, lo, hi), side="right")
+    return np.bincount(cells, minlength=4)
+
+
+ZERO_CELL_SETUP = JointSetup(  # law (0.25, 0, 0, 0.75): cum[0] == cum[1] == cum[2]
+    make_state(math.pi / 6, 0.0), make_direction(0.0, 0.0), Coupling(1.0)
+)
 
 
 class TestCounterRng:
@@ -90,6 +111,48 @@ class TestSample:
             sample(worked_setup, 0, seed=1)
         with pytest.raises(InvalidParameter):
             sample(worked_setup, 10, seed=1, workers=0)
+
+
+class TestCountKernel:
+    @pytest.mark.parametrize("seed", [1, 42, 2**63 + 5])
+    @pytest.mark.parametrize("end_offset", [-1, 0, 1])
+    @pytest.mark.parametrize("zero_cell", [False, True], ids=["worked", "zero_cell"])
+    def test_matches_binary_search_reference(self, worked_setup, seed, end_offset, zero_cell):
+        cum = cumulative_law(ZERO_CELL_SETUP if zero_cell else worked_setup)
+        lo, hi = montecarlo._CHUNK // 3, 2 * montecarlo._CHUNK + end_offset
+        counts = montecarlo._counts_for_range(cum, seed, lo, hi)
+        np.testing.assert_array_equal(counts, reference_counts(cum, seed, lo, hi))
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two shards need two cores")
+class TestThreadFanOut:
+    # each test starts exactly the two shard threads of one sample call
+    def test_one_thread_per_shard_and_the_caller_only_waits(self, worked_setup, monkeypatch):
+        real = montecarlo._counts_for_range
+        threads = []
+
+        def spy(cum, seed, start, stop):
+            threads.append(threading.get_ident())
+            return real(cum, seed, start, stop)
+
+        monkeypatch.setattr(montecarlo, "_counts_for_range", spy)
+        batch = sample(worked_setup, 300_000, seed=21, workers=2)
+        assert len(threads) == len(set(threads)) == 2
+        assert threading.get_ident() not in threads
+        expected = reference_counts(cumulative_law(worked_setup), 21, 0, 300_000)
+        assert batch.counts == tuple(expected)
+
+    def test_shard_exception_reaches_the_caller(self, worked_setup, monkeypatch):
+        real = montecarlo._counts_for_range
+
+        def failing(cum, seed, start, stop):
+            if start > 0:
+                raise RuntimeError("shard failed")
+            return real(cum, seed, start, stop)
+
+        monkeypatch.setattr(montecarlo, "_counts_for_range", failing)
+        with pytest.raises(RuntimeError, match="shard failed"):
+            sample(worked_setup, 300_000, seed=21, workers=2)
 
 
 class TestTrialBatch:
@@ -218,6 +281,25 @@ class TestCrbCheck:
         report = crb_check(worked_setup, trials=100_000, repeats=200, seed=9)
         assert 0.9 <= report.ratio_A <= 1.1
         assert 0.9 <= report.ratio_B <= 1.1
+
+    def test_one_law_and_one_weight_call(self, monkeypatch):
+        calls = {"estimator_weights": 0, "joint_distribution": 0}
+
+        def counting(name, real):
+            def wrapper(setup):
+                calls[name] += 1
+                return real(setup)
+
+            return wrapper
+
+        modules = [m for n, m in sys.modules.items() if n.startswith("seqmeas")]
+        for module in modules:
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        crb_check(default_setup(), 1000, 5, 1)
+        # 5 laws inside sample, 1 for the bounds and the analytic variance
+        assert calls == {"estimator_weights": 1, "joint_distribution": 6}
 
     def test_variance_identity_for_a(self, worked_setup):
         # Var(est_A) = 1 / (n I_A_joint) exactly under the multinomial law
