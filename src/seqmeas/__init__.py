@@ -41,11 +41,8 @@ from .fisher import (
     FisherReport,
     TradeoffPoint,
     cramer_rao_bound,
-    fisher_a_joint,
     fisher_a_proj,
-    fisher_b_joint,
     fisher_b_proj,
-    fisher_binary,
     precisions,
     tradeoff_curve,
 )
@@ -65,65 +62,7 @@ from .qubit import (
     PureState,
     a_direction,
     born_probability,
-    commutator_magnitude,
     expectation,
     make_direction,
     make_state,
-    projector,
 )
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BinaryDistribution",
-    "Coupling",
-    "CrbReport",
-    "DEGENERACY_TOL",
-    "Decomposition",
-    "DegenerateCoupling",
-    "DegenerateDistribution",
-    "DensityMatrix",
-    "FisherReport",
-    "InvalidParameter",
-    "JointDistribution",
-    "JointSetup",
-    "ObservableDirection",
-    "PureState",
-    "SampleStats",
-    "SeqmeasError",
-    "TradeoffPoint",
-    "TrialBatch",
-    "UnbiasednessReport",
-    "UnboundedVariance",
-    "ZnzdClass",
-    "a_direction",
-    "b_probabilities",
-    "born_probability",
-    "commutator_magnitude",
-    "cramer_rao_bound",
-    "crb_check",
-    "decompose",
-    "entangled_state",
-    "estimate",
-    "estimate_a",
-    "estimate_b",
-    "expectation",
-    "fisher_a_joint",
-    "fisher_a_proj",
-    "fisher_b_joint",
-    "fisher_b_proj",
-    "fisher_binary",
-    "is_znzd",
-    "joint_distribution",
-    "make_direction",
-    "make_state",
-    "meter_probabilities",
-    "post_measurement_density",
-    "precisions",
-    "projector",
-    "recover_a",
-    "recover_b",
-    "sample",
-    "tradeoff_curve",
-    "unbiasedness_check",
-]

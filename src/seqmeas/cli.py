@@ -35,15 +35,13 @@ from .correction import ZNZD_TOL, ZnzdClass, is_znzd
 from .coupling import (
     Coupling,
     JointSetup,
-    b_probabilities,
     decompose,
     joint_distribution,
-    meter_probabilities,
     post_measurement_density,
 )
 from .errors import SeqmeasError
 from .fisher import tradeoff_curve
-from .montecarlo import _z_score, estimate, sample
+from .montecarlo import _MASK64, _z_score, estimate, sample
 from .qubit import (ObservableDirection, PureState, a_direction, expectation, make_direction,
                     make_state)
 from .verify import DEFAULT_SCENARIO, run_verification
@@ -147,9 +145,8 @@ def _joint_setup(args: argparse.Namespace) -> tuple[JointSetup, dict]:
 
 def cmd_probs(args: argparse.Namespace, out: TextIO) -> int:
     setup, scenario = _joint_setup(args)
-    p_m = meter_probabilities(setup)
-    p_b = b_probabilities(setup)
     law = joint_distribution(setup)
+    p_m, p_b = law.meter_marginal(), law.b_marginal()
     parts = decompose(setup)
     rho = post_measurement_density(setup).entries
     report = {
@@ -307,10 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--out", default=None, metavar="PATH", help="write output to PATH")
 
     sampling = argparse.ArgumentParser(add_help=False)
-    # a string default goes through the type too, so $SEQMEAS_SEED is checked
-    sampling.add_argument("--seed", type=_int_in(0, source=f" (--seed or ${SEED_ENV_VAR})"),
+    # a string default goes through the type too, so $SEQMEAS_SEED is checked;
+    # the sampler reads only the low 64 bits, so a larger seed would alias a smaller one
+    sampling.add_argument("--seed",
+                          type=_int_in(0, _MASK64, source=f" (--seed or ${SEED_ENV_VAR})"),
                           default=os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED)),
-                          help=f"sampling seed >= 0 (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
+                          help=f"sampling seed in [0, 2^64 - 1] "
+                          f"(default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
     sampling.add_argument("--workers", type=_int_in(1), default=1,
                           help="shard sampling across up to N threads, at most one per "
                           "core (results identical)")

@@ -104,13 +104,6 @@ class BinaryDistribution:
                 f"outcome probabilities must sum to 1, got {self.p_plus + self.p_minus!r}"
             )
 
-    def prob(self, sign: int) -> float:
-        if sign == +1:
-            return self.p_plus
-        if sign == -1:
-            return self.p_minus
-        raise InvalidParameter(f"sign must be +1 or -1, got {sign!r}")
-
     def within_unit_interval(self, tol: float = 1e-9) -> bool:
         """Advisory range check; recovery outputs may fail it under sampling noise."""
         return -tol <= self.p_plus <= 1.0 + tol and -tol <= self.p_minus <= 1.0 + tol
@@ -141,13 +134,6 @@ class JointDistribution:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p_pp, self.p_pm, self.p_mp, self.p_mm])
-
-    def prob(self, m: int, b: int) -> float:
-        cells = (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
-        try:
-            return cells[JOINT_CELLS.index((m, b))]
-        except ValueError:
-            raise InvalidParameter(f"outcome labels must be +1 or -1, got {(m, b)!r}") from None
 
     def meter_marginal(self) -> BinaryDistribution:
         return BinaryDistribution(self.p_pp + self.p_pm, self.p_mp + self.p_mm)

@@ -23,9 +23,7 @@ from .coupling import (
     BinaryDistribution,
     Coupling,
     JointSetup,
-    b_probabilities,
     joint_distribution,
-    meter_probabilities,
 )
 from .errors import DegenerateDistribution, InvalidParameter, UnboundedVariance
 from .qubit import ObservableDirection, PureState, a_direction, born_probability
@@ -67,27 +65,12 @@ def _information(p: BinaryDistribution, dp: float, label: str) -> float:
     return dp * dp / (p.p_plus * p.p_minus)
 
 
-def fisher_binary(p: BinaryDistribution, dp: float) -> float:
-    """Fisher information of a binary law whose +1 probability has sensitivity ``dp``."""
-    return _information(p, dp, "binary")
-
-
 def _meter_information(p_m: BinaryDistribution, c: Coupling) -> float:
     return _information(p_m, 0.5 * c.kappa, "meter (A channel)")
 
 
 def _b_information(p_b: BinaryDistribution, c: Coupling) -> float:
     return _information(p_b, 0.5 * c.deco, "second measurement (B channel)")
-
-
-def fisher_a_joint(setup: JointSetup) -> float:
-    """Information about the first observable carried by one meter record."""
-    return _meter_information(meter_probabilities(setup), setup.coupling)
-
-
-def fisher_b_joint(setup: JointSetup) -> float:
-    """Information about the second observable carried by one disturbed record."""
-    return _b_information(b_probabilities(setup), setup.coupling)
 
 
 def _projective_information(state: PureState, direction: ObservableDirection, name: str) -> float:

@@ -1,4 +1,4 @@
-"""Qubit states, Bloch-direction observables, projectors and expectation values.
+"""Qubit states, Bloch-direction observables, density matrices and expectation values.
 
 Conventions used throughout the package:
 
@@ -64,10 +64,6 @@ class PureState:
     def vector(self) -> np.ndarray:
         return np.array(self.amplitudes, dtype=complex)
 
-    def projector_matrix(self) -> np.ndarray:
-        v = self.vector()
-        return np.outer(v, v.conj())
-
 
 @dataclass(frozen=True)
 class ObservableDirection:
@@ -118,9 +114,6 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
-    def off_diagonal_magnitude(self) -> float:
-        return abs(self.entries[0, 1])
-
 
 def make_state(alpha: float, phi: float) -> PureState:
     """Build the signal state, reducing angles to their canonical ranges.
@@ -153,12 +146,6 @@ def a_direction() -> ObservableDirection:
     return ObservableDirection(theta=0.0, varphi=0.0)
 
 
-def projector(direction: ObservableDirection, sign: int) -> DensityMatrix:
-    """Rank-1 projector onto the ``sign`` eigenvector of ``sigma . n``."""
-    v = direction.ket(sign)
-    return DensityMatrix(np.outer(v, v.conj()))
-
-
 def born_probability(state: PureState, direction: ObservableDirection, sign: int) -> float:
     """Probability of outcome ``sign`` when measuring ``sigma . n`` on the state."""
     amp = np.vdot(direction.ket(sign), state.vector())
@@ -169,13 +156,3 @@ def born_probability(state: PureState, direction: ObservableDirection, sign: int
 def expectation(state: PureState, direction: ObservableDirection) -> float:
     """Expectation value of ``sigma . n`` on the state, as p(+1) - p(-1)."""
     return born_probability(state, direction, +1) - born_probability(state, direction, -1)
-
-
-def commutator_magnitude(state: PureState, direction: ObservableDirection) -> float:
-    """|<[sigma_z, sigma . n]>| on the state: ``|2 sin(2 alpha) sin(theta) sin(varphi - phi)|``."""
-    return abs(
-        2.0
-        * math.sin(2.0 * state.alpha)
-        * math.sin(direction.theta)
-        * math.sin(direction.varphi - state.phi)
-    )

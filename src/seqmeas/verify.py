@@ -17,6 +17,7 @@ from . import oracle
 from .correction import ZnzdClass, is_znzd, recover_a, recover_b
 from .coupling import (
     GAMMA_MIN,
+    JOINT_CELLS,
     Coupling,
     JointSetup,
     b_probabilities,
@@ -82,7 +83,7 @@ def suite_oracle_equivalence(count: int = 1000, seed: int = 0, tol: float = 1e-1
             abs(p_b.p_plus - ref.b_probs[0]),
             abs(p_b.p_minus - ref.b_probs[1]),
             float(np.max(np.abs(rho - ref.density))),
-            max(abs(law.prob(m, b) - ref.joint[(m, b)]) for m in (1, -1) for b in (1, -1)),
+            max(abs(p - ref.joint[cell]) for p, cell in zip(law.as_array(), JOINT_CELLS)),
         ]
         worst = max(worst, max(float(e) for e in errs))
     passed = worst <= tol
@@ -98,8 +99,8 @@ def suite_round_trip(count: int = 1000, seed: int = 1, tol: float = 1e-10) -> Su
     """Correction maps invert the exact model laws; degenerate couplings refuse."""
     worst = 0.0
     for setup in random_setups(count, seed):
-        p_m = meter_probabilities(setup)
-        p_b = b_probabilities(setup)
+        law = joint_distribution(setup)
+        p_m, p_b = law.meter_marginal(), law.b_marginal()
         rec_a = recover_a(p_m, setup.coupling)
         rec_b = recover_b(p_b, p_m, setup.b_dir, setup.coupling)
         s2 = math.sin(setup.state.alpha) ** 2
@@ -136,8 +137,8 @@ def _refuses(recover, *args) -> bool:
 def _degenerate_couplings_refuse() -> bool:
     """kappa = 0 must fail both channels, deco = 0 only the B channel."""
     setup = default_setup()
-    p_m = meter_probabilities(setup)
-    p_b = b_probabilities(setup)
+    law = joint_distribution(setup)
+    p_m, p_b = law.meter_marginal(), law.b_marginal()
     zero_strength = Coupling(GAMMA_MIN)
     projective = Coupling(1.0)
     return (

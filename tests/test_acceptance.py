@@ -99,7 +99,7 @@ def test_criterion_4_cramer_rao_saturation():
 
 
 def test_criterion_5_fisher_closed_forms():
-    from seqmeas import decompose, expectation, fisher_a_joint, fisher_b_joint
+    from seqmeas import decompose, expectation, precisions
     from seqmeas.qubit import a_direction
 
     checked = 0
@@ -124,10 +124,11 @@ def test_criterion_5_fisher_closed_forms():
 
         fd_a = fd_fisher(meter_law, expectation(setup.state, a_direction()))
         fd_b = fd_fisher(b_law, expectation(setup.state, setup.b_dir))
+        report = precisions(setup)
         worst_rel = max(
             worst_rel,
-            abs(fisher_a_joint(setup) / fd_a - 1.0),
-            abs(fisher_b_joint(setup) / fd_b - 1.0),
+            abs(report.i_A_joint / fd_a - 1.0),
+            abs(report.i_B_joint / fd_b - 1.0),
         )
         checked += 1
         if checked == 200:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -34,6 +35,21 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+@pytest.fixture
+def law_calls(monkeypatch):
+    """Counts the ``joint_distribution`` calls made through any ``seqmeas`` module."""
+    calls = []
+    for module in [m for n, m in sys.modules.items() if n.startswith("seqmeas")]:
+        real = getattr(module, "joint_distribution", None)
+        if real is not None:
+            def counted(setup, real=real):
+                calls.append(setup)
+                return real(setup)
+
+            monkeypatch.setattr(module, "joint_distribution", counted)
+    return calls
+
+
 class TestProbs:
     def test_json_values(self, capsys):
         code, out, _ = run(capsys, ["probs", *E1_ARGS])
@@ -44,6 +60,12 @@ class TestProbs:
         assert report["joint"]["pp"] == pytest.approx(0.348205081, abs=1e-8)
         assert report["density"]["rho01_re"] == pytest.approx(0.346410162, abs=1e-8)
         assert report["scenario"]["kappa"] == pytest.approx(0.6, abs=1e-8)
+
+    def test_one_law_evaluation(self, capsys, law_calls):
+        # both marginals are taken from the one joint law
+        code, _, _ = run(capsys, ["probs", *E1_ARGS])
+        assert code == 0
+        assert len(law_calls) == 1
 
     def test_weakest_coupling_is_uniform(self, capsys):
         code, out, _ = run(capsys, ["probs", "--gamma", "0.7071068"])
@@ -274,6 +296,12 @@ class TestVerify:
         assert oracle_suite["name"] == "oracle_equivalence"
         assert oracle_suite["passed"] is False
 
+    def test_round_trip_evaluates_one_law_per_scenario(self, law_calls):
+        # one per random scenario, one for the degenerate-coupling refusals
+        result = verify.suite_round_trip(count=25, seed=3)
+        assert result.passed
+        assert len(law_calls) == 25 + 1
+
     def test_byte_identical_runs_and_workers(self, capsys):
         _, first, _ = run(capsys, ["verify", *FAST_VERIFY])
         _, second, _ = run(capsys, ["verify", *FAST_VERIFY])
@@ -352,6 +380,25 @@ class TestSeedAndOutput:
             main(["verify"])
         assert excinfo.value.code == 2
         assert "SEQMEAS_SEED" in capsys.readouterr().err
+
+    def test_seed_above_64_bits_is_a_usage_error(self, capsys, monkeypatch):
+        # the sampler reads the seed mod 2^64, so 2^64 would silently rerun seed 0
+        with pytest.raises(SystemExit) as excinfo:
+            cli.build_parser().parse_args(["estimate", "--seed", str(2**64)])
+        assert excinfo.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        monkeypatch.setenv("SEQMEAS_SEED", str(2**64))
+        with pytest.raises(SystemExit) as excinfo:
+            cli.build_parser().parse_args(["estimate"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "SEQMEAS_SEED" in err
+
+    def test_largest_64_bit_seed_is_accepted(self, monkeypatch):
+        args = cli.build_parser().parse_args(["verify", "--seed", str(2**64 - 1)])
+        assert args.seed == 2**64 - 1
+        monkeypatch.setenv("SEQMEAS_SEED", str(2**64 - 1))
+        assert cli.build_parser().parse_args(["estimate"]).seed == 2**64 - 1
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"

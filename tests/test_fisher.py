@@ -15,11 +15,8 @@ from seqmeas import (
     cramer_rao_bound,
     decompose,
     expectation,
-    fisher_a_joint,
     fisher_a_proj,
-    fisher_b_joint,
     fisher_b_proj,
-    fisher_binary,
     make_direction,
     make_state,
     meter_probabilities,
@@ -27,6 +24,7 @@ from seqmeas import (
     tradeoff_curve,
 )
 from seqmeas.coupling import GAMMA_MIN
+from seqmeas.fisher import _information
 from seqmeas.qubit import a_direction
 from seqmeas.verify import random_setups
 
@@ -42,61 +40,65 @@ def fd_fisher(p_of_x, x0, h=1e-5):
 
 class TestFisherBinary:
     def test_fair_coin(self):
-        assert fisher_binary(BinaryDistribution(0.5, 0.5), 0.5) == pytest.approx(1.0, abs=1e-12)
+        fi = _information(BinaryDistribution(0.5, 0.5), 0.5, "binary")
+        assert fi == pytest.approx(1.0, abs=1e-12)
 
     def test_scaled_sensitivity(self):
-        assert fisher_binary(BinaryDistribution(0.5, 0.5), 0.3) == pytest.approx(0.36, abs=1e-12)
+        fi = _information(BinaryDistribution(0.5, 0.5), 0.3, "binary")
+        assert fi == pytest.approx(0.36, abs=1e-12)
 
     def test_skewed(self):
-        assert fisher_binary(BinaryDistribution(0.25, 0.75), 0.5) == pytest.approx(4 / 3, abs=1e-12)
+        fi = _information(BinaryDistribution(0.25, 0.75), 0.5, "binary")
+        assert fi == pytest.approx(4 / 3, abs=1e-12)
 
     @pytest.mark.parametrize("p_plus", [0.0, 1.0])
     def test_boundary_raises(self, p_plus):
         with pytest.raises(DegenerateDistribution):
-            fisher_binary(BinaryDistribution(p_plus, 1.0 - p_plus), 0.5)
+            _information(BinaryDistribution(p_plus, 1.0 - p_plus), 0.5, "binary")
 
 
 class TestJointFisher:
     def test_a_joint_balanced(self):
         setup = JointSetup(make_state(math.pi / 4, 0.0), make_direction(1.0, 0.0), Coupling(math.sqrt(0.8)))
-        assert fisher_a_joint(setup) == pytest.approx(0.36, abs=1e-12)
+        assert precisions(setup).i_A_joint == pytest.approx(0.36, abs=1e-12)
 
     def test_a_joint_zero_strength(self):
         setup = JointSetup(make_state(0.6, 0.0), make_direction(1.0, 0.0), Coupling(GAMMA_MIN))
-        assert fisher_a_joint(setup) == pytest.approx(0.0, abs=1e-24)
+        assert precisions(setup).i_A_joint == pytest.approx(0.0, abs=1e-24)
 
     def test_a_joint_projective_limit(self):
         state = make_state(math.pi / 6, 0.0)
         setup = JointSetup(state, make_direction(1.0, 0.0), Coupling(1.0))
-        assert fisher_a_joint(setup) == pytest.approx(4 / 3, abs=1e-12)
-        assert fisher_a_joint(setup) == pytest.approx(fisher_a_proj(state), abs=1e-12)
+        i_a_joint = precisions(setup).i_A_joint
+        assert i_a_joint == pytest.approx(4 / 3, abs=1e-12)
+        assert i_a_joint == pytest.approx(fisher_a_proj(state), abs=1e-12)
 
     def test_b_joint_worked_value(self, worked_setup):
         # deco^2/4 / (p_plus p_minus) = 0.16 / 0.13
-        assert fisher_b_joint(worked_setup) == pytest.approx(0.16 / 0.13, abs=1e-9)
+        assert precisions(worked_setup).i_B_joint == pytest.approx(0.16 / 0.13, abs=1e-9)
 
     def test_b_joint_undisturbed_limit(self):
         state, direction = make_state(0.7, 0.4), make_direction(1.3, 0.8)
         setup = JointSetup(state, direction, Coupling(GAMMA_MIN))
-        assert fisher_b_joint(setup) == pytest.approx(fisher_b_proj(state, direction), abs=1e-12)
+        i_b_joint = precisions(setup).i_B_joint
+        assert i_b_joint == pytest.approx(fisher_b_proj(state, direction), abs=1e-12)
 
     def test_b_joint_projective_kills_information(self):
         setup = JointSetup(make_state(0.7, 0.4), make_direction(1.3, 0.8), Coupling(1.0))
-        assert fisher_b_joint(setup) == 0.0
+        assert precisions(setup).i_B_joint == 0.0
 
     def test_closed_forms_from_paper_quantities(self):
         for setup in random_setups(200, seed=103):
             p_m = meter_probabilities(setup)
-            if min(p_m.p_plus, p_m.p_minus) <= 0.0:
+            p_b = b_probabilities(setup)
+            if min(p_m.p_plus, p_m.p_minus, p_b.p_plus, p_b.p_minus) <= 0.0:
                 continue
             kappa, deco = setup.coupling.kappa, setup.coupling.deco
-            assert fisher_a_joint(setup) == pytest.approx(
+            report = precisions(setup)
+            assert report.i_A_joint == pytest.approx(
                 0.25 * kappa**2 / (p_m.p_plus * p_m.p_minus), abs=1e-12
             )
-            p_b = b_probabilities(setup)
-            if min(p_b.p_plus, p_b.p_minus) <= 0.0:
-                continue
-            assert fisher_b_joint(setup) == pytest.approx(
+            assert report.i_B_joint == pytest.approx(
                 0.25 * deco**2 / (p_b.p_plus * p_b.p_minus), abs=1e-12
             )
 
@@ -144,10 +146,11 @@ class TestFiniteDifferenceOracle:
 
             x_a = expectation(setup.state, a_direction())
             x_b = expectation(setup.state, setup.b_dir)
-            assert fisher_a_joint(setup) == pytest.approx(
+            report = precisions(setup)
+            assert report.i_A_joint == pytest.approx(
                 fd_fisher(meter_law, x_a), rel=1e-6
             )
-            assert fisher_b_joint(setup) == pytest.approx(
+            assert report.i_B_joint == pytest.approx(
                 fd_fisher(b_law, x_b), rel=1e-6
             )
             checked += 1

@@ -313,6 +313,6 @@ class TestCrbCheck:
 
 
 def report_free_crb(setup, trials):
-    from seqmeas import fisher_a_joint
+    from seqmeas import precisions
 
-    return 1.0 / (trials * fisher_a_joint(setup))
+    return 1.0 / (trials * precisions(setup).i_A_joint)

@@ -17,6 +17,7 @@ from seqmeas import oracle  # noqa: E402
 from seqmeas.correction import recover_a, recover_b  # noqa: E402
 from seqmeas.coupling import (  # noqa: E402
     GAMMA_MIN,
+    JOINT_CELLS,
     Coupling,
     JointSetup,
     b_probabilities,
@@ -78,7 +79,8 @@ def test_closed_forms_match_the_oracle(setup):
     law = joint_distribution(setup)
     for m in (1, -1):
         for b in (1, -1):
-            assert law.prob(m, b) == pytest.approx(ref.joint[(m, b)], abs=1e-10)
+            p = law.as_array()[JOINT_CELLS.index((m, b))]
+            assert p == pytest.approx(ref.joint[(m, b)], abs=1e-10)
     p_m, p_b = meter_probabilities(setup), b_probabilities(setup)
     assert (p_m.p_plus, p_m.p_minus) == pytest.approx(ref.meter_probs, abs=1e-10)
     assert (p_b.p_plus, p_b.p_minus) == pytest.approx(ref.b_probs, abs=1e-10)

@@ -7,13 +7,10 @@ from seqmeas import (
     InvalidParameter,
     a_direction,
     born_probability,
-    commutator_magnitude,
     expectation,
     make_direction,
     make_state,
-    projector,
 )
-from seqmeas.qubit import SIGMA_Z
 
 SQRT3_4 = math.sqrt(3.0) / 4.0  # 0.4330127...
 
@@ -104,15 +101,21 @@ class TestMakeDirection:
         make_direction(math.pi, 1.0)
 
 
+def ket_outer(direction, sign):
+    """``|k><k|`` for the ``sign`` eigenvector ``k`` of ``sigma . n``, built from ``ket``."""
+    ket = direction.ket(sign)
+    return np.outer(ket, ket.conj())
+
+
 class TestProjector:
     def test_z_basis(self):
         np.testing.assert_allclose(
-            projector(make_direction(0.0, 0.0), +1).entries, np.diag([1.0, 0.0]), atol=1e-12
+            ket_outer(make_direction(0.0, 0.0), +1), np.diag([1.0, 0.0]), atol=1e-12
         )
 
     def test_x_plus(self):
         np.testing.assert_allclose(
-            projector(make_direction(math.pi / 2, 0.0), +1).entries,
+            ket_outer(make_direction(math.pi / 2, 0.0), +1),
             np.full((2, 2), 0.5),
             atol=1e-12,
         )
@@ -121,7 +124,7 @@ class TestProjector:
         # eigendecomposition oracle for sigma.n gives the same matrix
         expected = np.array([[0.75, SQRT3_4], [SQRT3_4, 0.25]])
         np.testing.assert_allclose(
-            projector(make_direction(math.pi / 3, 0.0), +1).entries, expected, atol=1e-12
+            ket_outer(make_direction(math.pi / 3, 0.0), +1), expected, atol=1e-12
         )
 
     def test_matches_eigendecomposition(self):
@@ -131,19 +134,19 @@ class TestProjector:
             vals, vecs = np.linalg.eigh(d.matrix())
             for sign, col in ((-1, 0), (+1, 1)):
                 oracle = np.outer(vecs[:, col], vecs[:, col].conj())
-                np.testing.assert_allclose(projector(d, sign).entries, oracle, atol=1e-12)
+                np.testing.assert_allclose(ket_outer(d, sign), oracle, atol=1e-12)
 
     def test_completeness_idempotence(self):
         for alpha, phi, theta, varphi in random_angles(1000, 5):
             d = make_direction(theta, varphi)
-            plus, minus = projector(d, +1).entries, projector(d, -1).entries
+            plus, minus = ket_outer(d, +1), ket_outer(d, -1)
             np.testing.assert_allclose(plus + minus, np.eye(2), atol=1e-12)
             np.testing.assert_allclose(plus @ plus, plus, atol=1e-12)
             assert np.trace(plus).real == pytest.approx(1.0, abs=1e-12)
 
     def test_bad_sign(self):
         with pytest.raises(InvalidParameter):
-            projector(make_direction(0.0, 0.0), 0)
+            make_direction(0.0, 0.0).ket(0)
 
 
 class TestBornAndExpectation:
@@ -193,27 +196,3 @@ class TestBornAndExpectation:
             expected = math.sin(alpha) ** 2 - math.cos(alpha) ** 2
             assert expectation(state, a_direction()) == pytest.approx(expected, abs=1e-12)
 
-
-class TestCommutator:
-    def test_maximal(self):
-        state = make_state(math.pi / 4, 0.0)
-        assert commutator_magnitude(state, make_direction(math.pi / 2, math.pi / 2)) == pytest.approx(
-            2.0, abs=1e-12
-        )
-
-    def test_vanishing(self):
-        assert commutator_magnitude(
-            make_state(math.pi / 4, 0.0), make_direction(math.pi / 2, 0.0)
-        ) == pytest.approx(0.0, abs=1e-12)
-        assert commutator_magnitude(
-            make_state(0.0, 0.0), make_direction(1.0, 2.0)
-        ) == pytest.approx(0.0, abs=1e-12)
-
-    def test_against_matrix_algebra(self):
-        for alpha, phi, theta, varphi in random_angles(1000, 31):
-            state, d = make_state(alpha, phi), make_direction(theta, varphi)
-            b_mat = d.matrix()
-            comm = SIGMA_Z @ b_mat - b_mat @ SIGMA_Z
-            v = state.vector()
-            oracle = abs(np.vdot(v, comm @ v))
-            assert commutator_magnitude(state, d) == pytest.approx(oracle, abs=1e-12)
