@@ -35,6 +35,7 @@ from .correction import ZNZD_TOL, ZnzdClass, is_znzd
 from .coupling import (
     Coupling,
     JointSetup,
+    angular_factors,
     decompose,
     joint_distribution,
     post_measurement_density,
@@ -49,8 +50,8 @@ from .verify import DEFAULT_SCENARIO, run_verification
 SEED_ENV_VAR = "SEQMEAS_SEED"
 DEFAULT_SEED = 42
 
-# Caps on the two Python loops that grow with an option: the trade-off sweep is
-# linear in --grid, the ZNZD scan quadratic in --scan-points.
+# Caps on the two outputs that grow with an option: the trade-off sweep writes
+# --grid + 2 rows, the ZNZD scan up to N(N - 1) for N = --scan-points and a wide --tol.
 MAX_GRID = 100_000
 MAX_SCAN_POINTS = 2_000
 
@@ -200,8 +201,8 @@ def cmd_estimate(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_tradeoff(args: argparse.Namespace, out: TextIO) -> int:
     _, state, direction = _state_and_direction(args)
-    points = tradeoff_curve(state, direction, args.grid)
-    rows = [[p.gamma, p.kappa, p.epsilon, p.eta] for p in points]
+    rows = [[p.gamma, p.kappa, p.epsilon, p.eta]  # the points are freed before rendering
+            for p in tradeoff_curve(state, direction, args.grid)]
     out.write(_render_rows(["gamma", "kappa", "epsilon", "eta"], rows, args.fmt))
     return 0
 
@@ -209,27 +210,26 @@ def cmd_tradeoff(args: argparse.Namespace, out: TextIO) -> int:
 def cmd_znzd(args: argparse.Namespace, out: TextIO) -> int:
     _, state, direction = _state_and_direction(args)
     if not args.scan:
+        sin_two_alpha, sin_theta, cos_delta = angular_factors(state, direction)
         report = {
             "alpha": state.alpha,
             "phi": state.phi,
             "theta": direction.theta,
             "varphi": direction.varphi,
             "classification": is_znzd(state, direction, tol=args.tol).value,
-            "cos_delta": math.cos(direction.varphi - state.phi),
-            "sin_two_alpha": math.sin(2.0 * state.alpha),
-            "sin_theta": math.sin(direction.theta),
+            "cos_delta": cos_delta,
+            "sin_two_alpha": sin_two_alpha,
+            "sin_theta": sin_theta,
         }
         out.write(_render_report(report, args.fmt))
         return 0
-    rows = []
-    for i in range(args.scan_points):
-        phi = 2.0 * math.pi * i / args.scan_points
-        for j in range(1, args.scan_points):
-            alpha = math.pi * j / args.scan_points
-            grid_state = make_state(alpha, phi)
-            verdict = is_znzd(grid_state, direction, tol=args.tol)
-            if verdict is ZnzdClass.NONTRIVIAL:
-                rows.append([grid_state.alpha, grid_state.phi])
+    # nontrivial = alpha passes the trivial test and phi the cos test: classify each axis once
+    n, tol = args.scan_points, args.tol
+    alphas = [s.alpha for s in (make_state(math.pi * j / n, 0.0) for j in range(1, n))
+              if is_znzd(s, direction, tol=tol) is not ZnzdClass.TRIVIAL]
+    phis = [s.phi for s in (make_state(alphas[0], 2.0 * math.pi * i / n) for i in range(n))
+            if is_znzd(s, direction, tol=tol) is ZnzdClass.NONTRIVIAL] if alphas else []
+    rows = [[alpha, phi] for phi in phis for alpha in alphas]
     out.write(_render_rows(["alpha", "phi"], rows, args.fmt))
     return 0
 

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .coupling import BinaryDistribution, Coupling, JointDistribution, JointSetup
+from .coupling import BinaryDistribution, Coupling, JointDistribution, JointSetup, angular_factors
 from .errors import DegenerateCoupling, InvalidParameter
 from .qubit import ObservableDirection, PureState
 
@@ -150,10 +150,9 @@ def is_znzd(state: PureState, direction: ObservableDirection, tol: float = ZNZD_
     """
     if not (tol > 0.0):
         raise InvalidParameter(f"tol must be positive, got {tol!r}")
-    sin_two_alpha = math.sin(2.0 * state.alpha)
-    sin_theta = math.sin(direction.theta)
+    sin_two_alpha, sin_theta, cos_delta = angular_factors(state, direction)
     if abs(sin_two_alpha) <= tol or abs(sin_theta) <= tol:
         return ZnzdClass.TRIVIAL
-    if abs(math.cos(direction.varphi - state.phi)) <= tol:
+    if abs(cos_delta) <= tol:
         return ZnzdClass.NONTRIVIAL
     return ZnzdClass.NOT_ZNZD

@@ -36,6 +36,14 @@ GAMMA_MIN = 1.0 / math.sqrt(2.0)
 _GAMMA_SLACK = 1e-12
 
 
+def coupling_factors(gamma):
+    """``(gamma_bar, kappa, deco)`` of an amplitude in [1/sqrt(2), 1], or of an array of them."""
+    gamma_bar = np.sqrt(np.maximum(0.0, 1.0 - gamma * gamma))
+    # clamp: rounding at the domain endpoints can land an ulp outside [0, 1]
+    kappa, deco = np.clip([2.0 * gamma * gamma - 1.0, 2.0 * gamma * gamma_bar], 0.0, 1.0)
+    return gamma_bar, kappa, deco
+
+
 @dataclass(frozen=True)
 class Coupling:
     """Coupling amplitude with its derived strength and coherence factors.
@@ -58,12 +66,9 @@ class Coupling:
                 f"gamma must lie in [1/sqrt(2), 1], got {gamma!r}"
             )
         gamma = min(1.0, max(GAMMA_MIN, gamma))
-        gamma_bar = math.sqrt(max(0.0, 1.0 - gamma * gamma))
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "gamma_bar", gamma_bar)
-        # clamp: rounding at the domain endpoints can land an ulp outside [0, 1]
-        object.__setattr__(self, "kappa", min(1.0, max(0.0, 2.0 * gamma * gamma - 1.0)))
-        object.__setattr__(self, "deco", min(1.0, max(0.0, 2.0 * gamma * gamma_bar)))
+        for name, value in zip(("gamma_bar", "kappa", "deco"), coupling_factors(gamma)):
+            object.__setattr__(self, name, float(value))
 
     @staticmethod
     def from_kappa(kappa: float) -> "Coupling":
@@ -186,24 +191,23 @@ def post_measurement_density(setup: JointSetup) -> DensityMatrix:
     )
 
 
-def _squares(setup: JointSetup) -> tuple[float, float, float, float]:
-    """``sin^2 a``, ``cos^2 a`` of the state and ``cos^2(t/2)``, ``sin^2(t/2)`` of b."""
-    alpha, half = setup.state.alpha, 0.5 * setup.b_dir.theta
-    return math.sin(alpha) ** 2, math.cos(alpha) ** 2, math.cos(half) ** 2, math.sin(half) ** 2
+def angular_factors(state: PureState, direction: ObservableDirection) -> tuple[float, float, float]:
+    """``sin(2 alpha)``, ``sin(theta)`` and ``cos(varphi - phi)``: the coherent term's angles."""
+    return (math.sin(2.0 * state.alpha), math.sin(direction.theta),
+            math.cos(direction.varphi - state.phi))
+
+
+def _coherent(gamma, gamma_bar, state: PureState, direction: ObservableDirection):
+    """The coherent term ``gamma gamma_bar sin(2 alpha) sin(theta) cos(varphi - phi)``."""
+    sin_two_alpha, sin_theta, cos_delta = angular_factors(state, direction)
+    return gamma * gamma_bar * sin_two_alpha * sin_theta * cos_delta
 
 
 def decompose(setup: JointSetup) -> Decomposition:
-    """Coupling-independent and coherent parts of the +1 probability of b."""
+    """Coupling-independent (the b law at gamma = 1) and coherent parts of p(b = +1)."""
     st, d, c = setup.state, setup.b_dir, setup.coupling
-    s2, c2, ch, sh = _squares(setup)
-    coherent = (
-        c.gamma
-        * c.gamma_bar
-        * math.sin(2.0 * st.alpha)
-        * math.sin(d.theta)
-        * math.cos(d.varphi - st.phi)
-    )
-    return Decomposition(independent_part=s2 * ch + c2 * sh, coherent_coefficient=coherent)
+    p_pp, _, p_mp, _ = joint_law(st, d, 1.0).tolist()
+    return Decomposition(p_pp + p_mp, _coherent(c.gamma, c.gamma_bar, st, d))
 
 
 def b_probabilities(setup: JointSetup) -> BinaryDistribution:
@@ -215,8 +219,8 @@ def b_probabilities(setup: JointSetup) -> BinaryDistribution:
     return joint_distribution(setup).b_marginal()
 
 
-def joint_distribution(setup: JointSetup) -> JointDistribution:
-    """Exact joint law of the sequential outcomes (m, b); the primitive law.
+def joint_law(state: PureState, direction: ObservableDirection, gamma) -> np.ndarray:
+    """Cells of the joint law of (m, b), shape ``(4,) + shape(gamma)``, for one or many gamma.
 
     Each cell is ``|<b | branch_m>|^2`` on the unnormalized signal branch of
     meter outcome m (standard collapse rule, which also covers branches of
@@ -225,14 +229,19 @@ def joint_distribution(setup: JointSetup) -> JointDistribution:
     coherent coefficient of :func:`decompose`.  Both marginal laws are sums
     of these cells.
     """
-    c = setup.coupling
-    s2, c2, ch, sh = _squares(setup)
-    g2, gb2 = c.gamma * c.gamma, c.gamma_bar * c.gamma_bar
-    x = 0.5 * decompose(setup).coherent_coefficient
-    cells = (
+    gamma_bar = coupling_factors(gamma)[0]
+    s2, c2 = math.sin(state.alpha) ** 2, math.cos(state.alpha) ** 2
+    ch, sh = math.cos(0.5 * direction.theta) ** 2, math.sin(0.5 * direction.theta) ** 2
+    g2, gb2 = gamma * gamma, gamma_bar * gamma_bar
+    x = 0.5 * _coherent(gamma, gamma_bar, state, direction)
+    return np.clip(np.stack([
         g2 * s2 * ch + gb2 * c2 * sh + x,
         g2 * s2 * sh + gb2 * c2 * ch - x,
         gb2 * s2 * ch + g2 * c2 * sh + x,
         gb2 * s2 * sh + g2 * c2 * ch - x,
-    )
-    return JointDistribution(*(min(1.0, max(0.0, p)) for p in cells))
+    ]), 0.0, 1.0)
+
+
+def joint_distribution(setup: JointSetup) -> JointDistribution:
+    """Exact joint law of the sequential outcomes (m, b); :func:`joint_law` at one gamma."""
+    return JointDistribution(*joint_law(setup.state, setup.b_dir, setup.coupling.gamma).tolist())

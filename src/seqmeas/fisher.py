@@ -14,8 +14,9 @@ and trade off against each other as the coupling strength varies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .correction import ZnzdClass, is_znzd
 from .coupling import (
@@ -23,7 +24,9 @@ from .coupling import (
     BinaryDistribution,
     Coupling,
     JointSetup,
+    coupling_factors,
     joint_distribution,
+    joint_law,
 )
 from .errors import DegenerateDistribution, InvalidParameter, UnboundedVariance
 from .qubit import ObservableDirection, PureState, a_direction, born_probability
@@ -55,14 +58,19 @@ class TradeoffPoint:
     valid: bool = True
 
 
+def _binary_information(p_plus, p_minus, dp):
+    """``dp^2 / (p_plus p_minus)``, for one law or for arrays of them."""
+    return dp * dp / (p_plus * p_minus)
+
+
 def _information(p: BinaryDistribution, dp: float, label: str) -> float:
-    """``dp^2 / (p_plus p_minus)``; refuses a degenerate law, naming it by ``label``."""
+    """:func:`_binary_information`; refuses a degenerate law, naming it by ``label``."""
     if p.p_plus <= 0.0 or p.p_plus >= 1.0:
         raise DegenerateDistribution(
             f"{label} outcome distribution is degenerate "
             f"(p_plus = {p.p_plus!r}); Fisher information diverges"
         )
-    return dp * dp / (p.p_plus * p.p_minus)
+    return _binary_information(p.p_plus, p.p_minus, dp)
 
 
 def _meter_information(p_m: BinaryDistribution, c: Coupling) -> float:
@@ -141,19 +149,15 @@ def tradeoff_curve(
             "this state and observable (ZNZD); the precision sweep is undefined"
         )
 
-    points = [TradeoffPoint(gamma=GAMMA_MIN, kappa=0.0, epsilon=0.0, eta=1.0)]
     lo, hi = GAMMA_MIN + ENDPOINT_OFFSET, 1.0 - ENDPOINT_OFFSET
-    for k in range(grid):
-        gamma = lo + (hi - lo) * k / (grid - 1)
-        coupling = Coupling(gamma)
-        try:
-            law = joint_distribution(JointSetup(state, direction, coupling))
-            epsilon = _meter_information(law.meter_marginal(), coupling) / i_a_proj
-            eta = _b_information(law.b_marginal(), coupling) / i_b_proj
-            points.append(TradeoffPoint(gamma, coupling.kappa, epsilon, eta))
-        except DegenerateDistribution:
-            points.append(
-                TradeoffPoint(gamma, coupling.kappa, math.nan, math.nan, valid=False)
-            )
-    points.append(TradeoffPoint(gamma=1.0, kappa=1.0, epsilon=1.0, eta=0.0))
-    return points
+    gammas = lo + (hi - lo) * np.arange(grid) / (grid - 1)
+    _, kappas, decos = coupling_factors(gammas)
+    p_pp, p_pm, p_mp, p_mm = joint_law(state, direction, gammas)
+    m_plus, b_plus = p_pp + p_pm, p_pp + p_mp
+    degenerate = (m_plus <= 0.0) | (m_plus >= 1.0) | (b_plus <= 0.0) | (b_plus >= 1.0)
+    m_plus[degenerate] = b_plus[degenerate] = np.nan  # nan rows: the information diverges
+    epsilons = _binary_information(m_plus, p_mp + p_mm, 0.5 * kappas) / i_a_proj
+    etas = _binary_information(b_plus, p_pm + p_mm, 0.5 * decos) / i_b_proj
+    rows = zip(*(a.tolist() for a in (gammas, kappas, epsilons, etas, ~degenerate)))
+    return [TradeoffPoint(GAMMA_MIN, 0.0, 0.0, 1.0), *(TradeoffPoint(*row) for row in rows),
+            TradeoffPoint(1.0, 1.0, 1.0, 0.0)]

@@ -23,6 +23,7 @@ from .coupling import (
     b_probabilities,
     entangled_state,
     joint_distribution,
+    joint_law,
     meter_probabilities,
     post_measurement_density,
 )
@@ -218,11 +219,8 @@ def znzd_states(count: int, seed: int, nontrivial: bool) -> list[tuple]:
 
 def b_variation_over_gamma(state, direction, points: int = 50) -> float:
     """Spread of the +1 probability of b across the whole coupling range."""
-    gammas = np.linspace(GAMMA_MIN, 1.0, points)
-    values = [
-        b_probabilities(JointSetup(state, direction, Coupling(g))).p_plus for g in gammas
-    ]
-    return max(values) - min(values)
+    cells = joint_law(state, direction, np.linspace(GAMMA_MIN, 1.0, points))
+    return float(np.ptp(cells[0] + cells[2]))
 
 
 def suite_znzd(

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import sys
 
 import pytest
@@ -8,7 +9,9 @@ from seqmeas import verify
 from seqmeas import cli
 from seqmeas.cli import (MAX_GRID, MAX_SCAN_POINTS, MAX_TRIALS, MAX_VERIFY_REPEATS,
                          MAX_VERIFY_TRIALS, _render_rows, main)
+from seqmeas.correction import ZnzdClass, is_znzd
 from seqmeas.coupling import BinaryDistribution
+from seqmeas.qubit import make_direction, make_state
 
 E1_ARGS = [
     "--alpha", "0.5235987755982988",
@@ -230,6 +233,20 @@ class TestTradeoff:
         assert _render_rows(columns, rows, "csv") == "gamma,kappa,epsilon,eta\n0.8,0.6,nan,nan\n"
 
 
+_SCAN_RNG = random.Random(8)
+SCAN_CASES = [
+    (0.0, 0.0, 1e-9, 36),
+    (math.pi, 1.0, 1e-9, 36),
+    (1.0471975511965976, 0.5, 0.5, 36),
+    (1.0471975511965976, 0.5, 1.5, 36),
+    (math.pi / 2, 0.0, 1e-9, 4),
+    (math.pi / 2, 0.0, 1e-9, 36),
+    *((_SCAN_RNG.uniform(-7.0, 7.0), _SCAN_RNG.uniform(-7.0, 7.0),
+       _SCAN_RNG.choice([0.05, 0.2, 0.4]), _SCAN_RNG.randint(4, 60))
+      for _ in range(12)),
+]
+
+
 class TestZnzd:
     def test_classification(self, capsys):
         code, out, _ = run(capsys, [
@@ -261,6 +278,46 @@ class TestZnzd:
             main(["znzd", "--scan", "--scan-points", str(MAX_SCAN_POINTS + 1)])
         assert excinfo.value.code == 2
         assert "--scan-points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(("theta", "varphi", "tol", "points"), SCAN_CASES)
+    def test_scan_equals_the_classification_of_every_grid_point(
+        self, capsys, theta, varphi, tol, points
+    ):
+        direction = make_direction(theta, varphi)
+        rows = []
+        for i in range(points):
+            for j in range(1, points):
+                state = make_state(math.pi * j / points, 2.0 * math.pi * i / points)
+                if is_znzd(state, direction, tol=tol) is ZnzdClass.NONTRIVIAL:
+                    rows.append([state.alpha, state.phi])
+        for fmt in ("json", "csv"):
+            code, out, _ = run(capsys, [
+                "znzd", "--scan", "--theta", repr(theta), "--varphi", repr(varphi),
+                "--tol", repr(tol), "--scan-points", str(points), "--format", fmt,
+            ])
+            assert code == 0
+            assert out == _render_rows(["alpha", "phi"], rows, fmt)
+
+    @pytest.mark.parametrize("tol", ["0", "nan", "-1"])
+    def test_scan_rejects_a_nonpositive_tol(self, capsys, tol):
+        code, out, err = run(capsys, ["znzd", "--scan", "--tol", tol])
+        assert code == 2
+        assert out == ""
+        assert "tol must be positive" in err
+
+    def test_scan_classifies_each_axis_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return is_znzd(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "is_znzd", counted)
+        code, out, _ = run(capsys, ["znzd", "--scan", "--theta", "1.5707963267948966",
+                                    "--varphi", "0", "--scan-points", "360"])
+        assert code == 0
+        assert json.loads(out)
+        assert len(calls) <= 2 * 360 - 1
 
 
 class TestVerify:

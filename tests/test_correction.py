@@ -225,3 +225,16 @@ class TestZnzd:
             invariant = b_variation_over_gamma(state, direction, points=50) <= 1e-12
             classified = is_znzd(state, direction) is not ZnzdClass.NOT_ZNZD
             assert invariant == classified
+
+    def test_variation_equals_the_spread_of_the_per_coupling_laws(self):
+        # the one-call sweep reproduces max - min over validated per-gamma laws exactly
+        pairs = znzd_states(20, seed=97, nontrivial=True)
+        pairs += znzd_states(20, seed=101, nontrivial=False)
+        pairs += [(s.state, s.b_dir) for s in random_setups(20, seed=103)]
+        for state, direction in pairs:
+            for points in (2, 7, 50):
+                values = [
+                    b_probabilities(JointSetup(state, direction, Coupling(g))).p_plus
+                    for g in np.linspace(GAMMA_MIN, 1.0, points)
+                ]
+                assert b_variation_over_gamma(state, direction, points) == max(values) - min(values)

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from seqmeas import (
@@ -254,6 +253,24 @@ class TestTradeoffCurve:
             report = precisions(JointSetup(state, direction, Coupling(p.gamma)))
             assert (p.epsilon, p.eta) == (report.epsilon, report.eta)
 
+    def test_all_rows_come_from_one_kernel_call(self, monkeypatch):
+        import seqmeas.fisher as fisher_mod
+
+        calls = []
+        real_joint_law = fisher_mod.joint_law
+
+        def counted(*args):
+            calls.append(args)
+            return real_joint_law(*args)
+
+        def refused(setup):
+            raise AssertionError("the sweep must not build a per-row law")
+
+        monkeypatch.setattr(fisher_mod, "joint_law", counted)
+        monkeypatch.setattr(fisher_mod, "joint_distribution", refused)
+        assert len(tradeoff_curve(*self.fig_args(), grid=50)) == 52
+        assert len(calls) == 1
+
     def test_znzd_state_rejected(self):
         state = make_state(math.pi / 4, math.pi / 2)
         with pytest.raises(InvalidParameter, match="ZNZD"):
@@ -271,14 +288,14 @@ class TestTradeoffCurve:
         import seqmeas.fisher as fisher_mod
 
         state, direction = self.fig_args()
-        real_joint_distribution = fisher_mod.joint_distribution
+        real_joint_law = fisher_mod.joint_law
 
-        def flaky(setup):
-            if abs(setup.coupling.gamma - 0.85) < 0.01:
-                raise DegenerateDistribution("synthetic row failure")
-            return real_joint_distribution(setup)
+        def flaky(state, direction, gammas):
+            cells = real_joint_law(state, direction, gammas)
+            cells[:, abs(gammas - 0.85) < 0.01] = [[1.0], [0.0], [0.0], [0.0]]
+            return cells
 
-        monkeypatch.setattr(fisher_mod, "joint_distribution", flaky)
+        monkeypatch.setattr(fisher_mod, "joint_law", flaky)
         points = fisher_mod.tradeoff_curve(state, direction, grid=30)
         assert len(points) == 32
         invalid = [p for p in points if not p.valid]

@@ -11,7 +11,6 @@ from seqmeas import (
     DegenerateCoupling,
     InvalidParameter,
     JointSetup,
-    SampleStats,
     TrialBatch,
     crb_check,
     estimate,

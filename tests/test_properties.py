@@ -22,6 +22,7 @@ from seqmeas.coupling import (  # noqa: E402
     JointSetup,
     b_probabilities,
     joint_distribution,
+    joint_law,
     meter_probabilities,
     post_measurement_density,
 )
@@ -86,3 +87,17 @@ def test_closed_forms_match_the_oracle(setup):
     assert (p_b.p_plus, p_b.p_minus) == pytest.approx(ref.b_probs, abs=1e-10)
     np.testing.assert_allclose(post_measurement_density(setup).entries, ref.density,
                                rtol=0, atol=1e-10)
+
+
+@PROPERTY
+@given(
+    setup=setups(st.just(GAMMA_MIN)),
+    gammas=st.lists(st.floats(GAMMA_MIN, 1.0), min_size=1, max_size=20),
+)
+def test_the_array_law_equals_the_validated_one_element_laws(setup, gammas):
+    # every cell of the sweep kernel is the cell JointDistribution validates, bit for bit
+    cells = joint_law(setup.state, setup.b_dir, np.array(gammas))
+    assert cells.shape == (4, len(gammas))
+    for k, gamma in enumerate(gammas):
+        law = joint_distribution(JointSetup(setup.state, setup.b_dir, Coupling(gamma)))
+        assert cells[:, k].tobytes() == law.as_array().tobytes()
