@@ -112,13 +112,19 @@ def _render_report(report: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_rows(columns: list[str], rows: list[list], fmt: str) -> str:
+def _json_cell(value: float) -> str:
+    return repr(_round9(value)) if math.isfinite(value) else "null"
+
+
+def _render_rows(columns: list[str], rows: list[tuple], fmt: str) -> str:
+    """Rows of floats as CSV, or as the JSON text ``json.dumps(..., indent=2)`` writes."""
     if fmt == "json":
-        payload = [dict(zip(columns, row)) for row in rows]
-        return json.dumps(_jsonify(payload), indent=2) + "\n"
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+        names = (json.dumps(name).replace("%", "%%") for name in columns)
+        template = "  {\n" + ",\n".join(f"    {name}: %s" for name in names) + "\n  }"
+        body = ",\n".join(template % tuple(map(_json_cell, row)) for row in rows)
+        return f"[\n{body}\n]\n" if rows else "[]\n"
+    template = ",".join(["%s"] * len(columns))
+    lines = [",".join(columns), *(template % tuple(map(_csv_cell, row)) for row in rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -201,8 +207,7 @@ def cmd_estimate(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_tradeoff(args: argparse.Namespace, out: TextIO) -> int:
     _, state, direction = _state_and_direction(args)
-    rows = [[p.gamma, p.kappa, p.epsilon, p.eta]  # the points are freed before rendering
-            for p in tradeoff_curve(state, direction, args.grid)]
+    rows = [p[:4] for p in tradeoff_curve(state, direction, args.grid)]  # frees the points
     out.write(_render_rows(["gamma", "kappa", "epsilon", "eta"], rows, args.fmt))
     return 0
 
@@ -229,7 +234,7 @@ def cmd_znzd(args: argparse.Namespace, out: TextIO) -> int:
               if is_znzd(s, direction, tol=tol) is not ZnzdClass.TRIVIAL]
     phis = [s.phi for s in (make_state(alphas[0], 2.0 * math.pi * i / n) for i in range(n))
             if is_znzd(s, direction, tol=tol) is ZnzdClass.NONTRIVIAL] if alphas else []
-    rows = [[alpha, phi] for phi in phis for alpha in alphas]
+    rows = [(alpha, phi) for phi in phis for alpha in alphas]
     out.write(_render_rows(["alpha", "phi"], rows, args.fmt))
     return 0
 
@@ -333,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="run the self-verification suites")
     p_verify.add_argument("--verify-trials", type=_int_in(1, MAX_VERIFY_TRIALS), default=None,
                           help="override trials for both statistical suites")
-    p_verify.add_argument("--verify-repeats", type=_int_in(1, MAX_VERIFY_REPEATS), default=None,
+    p_verify.add_argument("--verify-repeats", type=_int_in(2, MAX_VERIFY_REPEATS), default=None,
                           help="override repeats for both statistical suites")
     p_verify.set_defaults(run=cmd_verify)
 

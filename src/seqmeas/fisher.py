@@ -15,6 +15,7 @@ and trade off against each other as the coupling strength varies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +48,7 @@ class FisherReport:
     eta: float
 
 
-@dataclass(frozen=True)
-class TradeoffPoint:
+class TradeoffPoint(NamedTuple):
     """One row of the precision trade-off sweep."""
 
     gamma: float

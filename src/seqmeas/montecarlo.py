@@ -215,8 +215,8 @@ def _z_score(mean: float, truth: float, se: float) -> float:
 def _batch_estimates(
     setup: JointSetup, trials: int, repeats: int, seed: int, workers: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if repeats < 1:
-        raise InvalidParameter(f"repeats must be >= 1, got {repeats!r}")
+    if repeats < 2:  # the spread of fewer repeats is undefined
+        raise InvalidParameter(f"repeats must be >= 2, got {repeats!r}")
     w_a, w_b = estimator_weights(setup)  # also fails fast on degenerate couplings
     est_a_vals = np.empty(repeats)
     est_b_vals = np.empty(repeats)
@@ -235,8 +235,8 @@ def unbiasedness_check(
     true_a = expectation(setup.state, a_direction())
     true_b = expectation(setup.state, setup.b_dir)
     mean_a, mean_b = float(est_a_vals.mean()), float(est_b_vals.mean())
-    se_a = float(est_a_vals.std(ddof=1)) / math.sqrt(repeats) if repeats > 1 else 0.0
-    se_b = float(est_b_vals.std(ddof=1)) / math.sqrt(repeats) if repeats > 1 else 0.0
+    se_a = float(est_a_vals.std(ddof=1)) / math.sqrt(repeats)
+    se_b = float(est_b_vals.std(ddof=1)) / math.sqrt(repeats)
     z_a = _z_score(mean_a, true_a, se_a)
     z_b = _z_score(mean_b, true_b, se_b)
     return UnbiasednessReport(

@@ -353,6 +353,14 @@ class TestVerify:
         assert oracle_suite["name"] == "oracle_equivalence"
         assert oracle_suite["passed"] is False
 
+    def test_one_repeat_is_a_usage_error(self, capsys):
+        # one estimate per suite has no spread, so its z-scores and ratios are undefined
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--verify-trials", "1000", "--verify-repeats", "1"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--verify-repeats" in err and "Warning" not in err
+
     def test_round_trip_evaluates_one_law_per_scenario(self, law_calls):
         # one per random scenario, one for the degenerate-coupling refusals
         result = verify.suite_round_trip(count=25, seed=3)

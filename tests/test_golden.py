@@ -41,6 +41,7 @@ CASES = {
         "--theta", "1.5707963267948966", "--varphi", "0",
     ],
     "znzd_scan.csv": ["znzd", "--scan", "--scan-points", "180", "--format", "csv"],
+    "znzd_scan.json": ["znzd", "--scan", "--scan-points", "180"],
     "verify.json": ["verify", "--seed", "42"],
 }
 

@@ -311,6 +311,13 @@ class TestCrbCheck:
         assert _affine_variance(w_a, law, n) == pytest.approx(report_free_crb(worked_setup, n), rel=1e-12)
 
 
+@pytest.mark.parametrize("check", [unbiasedness_check, crb_check])
+def test_a_single_repeat_is_refused(worked_setup, check):
+    # the spread of one estimate, and so its standard error and variance, is undefined
+    with pytest.raises(InvalidParameter, match="repeats must be >= 2"):
+        check(worked_setup, trials=1000, repeats=1, seed=3)
+
+
 def report_free_crb(setup, trials):
     from seqmeas import precisions
 

@@ -4,6 +4,7 @@ The examples are derandomized, so every run checks the same cases, and no
 example database is written.
 """
 
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from seqmeas import oracle  # noqa: E402
+from seqmeas.cli import _csv_cell, _jsonify, _render_rows  # noqa: E402
 from seqmeas.correction import recover_a, recover_b  # noqa: E402
 from seqmeas.coupling import (  # noqa: E402
     GAMMA_MIN,
@@ -101,3 +103,28 @@ def test_the_array_law_equals_the_validated_one_element_laws(setup, gammas):
     for k, gamma in enumerate(gammas):
         law = joint_distribution(JointSetup(setup.state, setup.b_dir, Coupling(gamma)))
         assert cells[:, k].tobytes() == law.as_array().tobytes()
+
+
+cells = st.one_of(
+    st.floats(),  # nan, infinities, subnormals and -0.0 among them
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 5e-324, 1e16, 1.0 + 2**-52]),
+    st.floats(1e9, 1e17) | st.floats(-1e17, -1e9),
+    st.integers(-10**6, 10**6).map(float),
+)
+column_names = st.sampled_from(["gamma", "alpha", "%s", "100%", 'a"b', "t\u00e9", "x,y"]) | st.text()
+tables = st.lists(column_names, min_size=1, max_size=5, unique=True).flatmap(
+    lambda columns: st.tuples(
+        st.just(columns),
+        st.lists(st.lists(cells, min_size=len(columns), max_size=len(columns)), max_size=30),
+    )
+)
+
+
+@PROPERTY
+@given(table=tables)
+def test_rows_render_as_the_json_encoder_and_the_csv_cells_do(table):
+    columns, rows = table
+    payload = [dict(zip(columns, row)) for row in rows]
+    assert _render_rows(columns, rows, "json") == json.dumps(_jsonify(payload), indent=2) + "\n"
+    lines = [",".join(columns), *(",".join(_csv_cell(v) for v in row) for row in rows)]
+    assert _render_rows(columns, rows, "csv") == "\n".join(lines) + "\n"
