@@ -11,11 +11,8 @@ and a deterministic Monte Carlo engine to verify the statistical claims.
 from .correction import (
     DEGENERACY_TOL,
     ZnzdClass,
-    estimate_a,
-    estimate_b,
+    estimator_weights,
     is_znzd,
-    recover_a,
-    recover_b,
 )
 from .coupling import (
     BinaryDistribution,

@@ -31,7 +31,7 @@ import sys
 from dataclasses import asdict
 from typing import TextIO
 
-from .correction import ZNZD_TOL, ZnzdClass, is_znzd
+from .correction import ZNZD_TOL, ZnzdClass, estimator_weights, is_znzd
 from .coupling import (
     Coupling,
     JointSetup,
@@ -180,8 +180,9 @@ def cmd_probs(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_estimate(args: argparse.Namespace, out: TextIO) -> int:
     setup, scenario = _joint_setup(args)
+    weights = estimator_weights(setup)  # refuses a degenerate coupling before any trial
     batch = sample(setup, args.trials, args.seed, workers=args.workers)
-    stats = estimate(batch, setup)
+    stats = estimate(batch, weights)
     true_a = expectation(setup.state, a_direction())
     true_b = expectation(setup.state, setup.b_dir)
     z_a = _z_score(stats.est_A, true_a, stats.se_A)

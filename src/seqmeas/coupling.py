@@ -92,10 +92,10 @@ class JointSetup:
 class BinaryDistribution:
     """Probabilities of a +1/-1 outcome pair.
 
-    The pair must sum to 1; individual values are allowed marginally outside
-    [0, 1] because the disturbance-correction maps must stay affine in their
-    inputs and may therefore produce slightly out-of-range values on noisy
-    empirical frequencies.
+    The pair must sum to 1.  The values are not range-checked: every pair
+    built here is an exact law (a marginal of a :class:`JointDistribution`
+    or a pair of Born probabilities), which only round-off can push outside
+    [0, 1].
     """
 
     p_plus: float
@@ -108,10 +108,6 @@ class BinaryDistribution:
             raise InvalidParameter(
                 f"outcome probabilities must sum to 1, got {self.p_plus + self.p_minus!r}"
             )
-
-    def within_unit_interval(self, tol: float = 1e-9) -> bool:
-        """Advisory range check; recovery outputs may fail it under sampling noise."""
-        return -tol <= self.p_plus <= 1.0 + tol and -tol <= self.p_minus <= 1.0 + tol
 
 
 # Cell order used for the joint law everywhere (counts, sampling, CSV):

@@ -9,12 +9,18 @@ so a verification run is reproducible byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import oracle
-from .correction import ZnzdClass, is_znzd, recover_a, recover_b
+from .correction import (
+    ZnzdClass,
+    ensure_informative,
+    ensure_nonprojective,
+    estimator_weights,
+    is_znzd,
+)
 from .coupling import (
     GAMMA_MIN,
     JOINT_CELLS,
@@ -97,22 +103,14 @@ def suite_oracle_equivalence(count: int = 1000, seed: int = 0, tol: float = 1e-1
 
 
 def suite_round_trip(count: int = 1000, seed: int = 1, tol: float = 1e-10) -> SuiteResult:
-    """Correction maps invert the exact model laws; degenerate couplings refuse."""
+    """The estimator weights invert the exact model laws; degenerate couplings refuse."""
     worst = 0.0
     for setup in random_setups(count, seed):
-        law = joint_distribution(setup)
-        p_m, p_b = law.meter_marginal(), law.b_marginal()
-        rec_a = recover_a(p_m, setup.coupling)
-        rec_b = recover_b(p_b, p_m, setup.b_dir, setup.coupling)
-        s2 = math.sin(setup.state.alpha) ** 2
-        born_plus = born_probability(setup.state, setup.b_dir, +1)
-        worst = max(
-            worst,
-            abs(rec_a.p_plus - s2),
-            abs(rec_a.p_minus - (1.0 - s2)),
-            abs(rec_b.p_plus - born_plus),
-            abs(rec_b.p_minus - (1.0 - born_plus)),
-        )
+        w_a, w_b = estimator_weights(setup)
+        law = joint_distribution(setup).as_array()
+        true_a = -math.cos(2.0 * setup.state.alpha)
+        true_b = 2.0 * born_probability(setup.state, setup.b_dir, +1) - 1.0
+        worst = max(worst, abs(float(w_a @ law) - true_a), abs(float(w_b @ law) - true_b))
     errors_ok = _degenerate_couplings_refuse()
     passed = worst <= tol and errors_ok
     return SuiteResult(
@@ -126,27 +124,25 @@ def suite_round_trip(count: int = 1000, seed: int = 1, tol: float = 1e-10) -> Su
     )
 
 
-def _refuses(recover, *args) -> bool:
-    """Whether ``recover(*args)`` raises :class:`DegenerateCoupling`."""
+def _refuses(check, arg) -> bool:
+    """Whether ``check(arg)`` raises :class:`DegenerateCoupling`."""
     try:
-        recover(*args)
+        check(arg)
     except DegenerateCoupling:
         return True
     return False
 
 
 def _degenerate_couplings_refuse() -> bool:
-    """kappa = 0 must fail both channels, deco = 0 only the B channel."""
+    """kappa = 0 must refuse both channels (w_B is built on w_A), deco = 0 only the B channel."""
     setup = default_setup()
-    law = joint_distribution(setup)
-    p_m, p_b = law.meter_marginal(), law.b_marginal()
-    zero_strength = Coupling(GAMMA_MIN)
-    projective = Coupling(1.0)
+    zero_strength, projective = Coupling(GAMMA_MIN), Coupling(1.0)
     return (
-        _refuses(recover_a, p_m, zero_strength)
-        and _refuses(recover_b, p_b, p_m, setup.b_dir, zero_strength)
-        and _refuses(recover_b, p_b, p_m, setup.b_dir, projective)
-        and not _refuses(recover_a, p_m, projective)  # A channel is fine at full strength
+        _refuses(ensure_informative, zero_strength)
+        and _refuses(estimator_weights, replace(setup, coupling=zero_strength))
+        and _refuses(ensure_nonprojective, projective)
+        and _refuses(estimator_weights, replace(setup, coupling=projective))
+        and not _refuses(ensure_informative, projective)  # A channel is fine at full strength
     )
 
 

@@ -171,21 +171,21 @@ def test_criterion_7_znzd():
 
 
 def test_criterion_8_determinism(capsys):
-    estimate_args = [
+    estimate_cmd = [
         "estimate", "--alpha", "0.5235987755982988", "--phi", "0",
         "--theta", "1.5707963267948966", "--varphi", "0",
         "--gamma", "0.8944271909999159", "--trials", "1000000", "--seed", "42",
     ]
-    verify_args = ["verify", "--seed", "42"]
+    verify_cmd = ["verify", "--seed", "42"]
 
     outputs = {}
     for label, argv in (
-        ("estimate_run1", estimate_args),
-        ("estimate_run2", estimate_args),
-        ("estimate_threaded", [*estimate_args, "--workers", "4"]),
-        ("verify_run1", verify_args),
-        ("verify_run2", verify_args),
-        ("verify_threaded", [*verify_args, "--workers", "4"]),
+        ("estimate_run1", estimate_cmd),
+        ("estimate_run2", estimate_cmd),
+        ("estimate_threaded", [*estimate_cmd, "--workers", "4"]),
+        ("verify_run1", verify_cmd),
+        ("verify_run2", verify_cmd),
+        ("verify_threaded", [*verify_cmd, "--workers", "4"]),
     ):
         code = main(argv)
         outputs[label] = capsys.readouterr().out

@@ -176,6 +176,28 @@ class TestEstimate:
         assert code == 2
         assert "kappa" in err and "A channel" in err
 
+    @pytest.mark.parametrize("coupling", [["--gamma", "1"], ["--kappa", "0"]])
+    def test_degenerate_coupling_refuses_before_sampling(self, capsys, monkeypatch, coupling):
+        calls = []
+        monkeypatch.setattr(cli, "sample", lambda *args, **kwargs: calls.append(args))
+        code, out, _ = run(capsys, ["estimate", *coupling, "--trials", str(MAX_TRIALS)])
+        assert code == 2 and out == ""
+        assert calls == []
+
+    def test_one_weight_computation_per_run(self, capsys, monkeypatch):
+        calls = []
+        for module in [m for n, m in sys.modules.items() if n.startswith("seqmeas")]:
+            real = getattr(module, "estimator_weights", None)
+            if real is not None:
+                def counted(setup, real=real):
+                    calls.append(setup)
+                    return real(setup)
+
+                monkeypatch.setattr(module, "estimator_weights", counted)
+        code, _, _ = run(capsys, ["estimate", *E1_ARGS, "--trials", "1000"])
+        assert code == 0
+        assert len(calls) == 1
+
 
 class TestTradeoff:
     FIG_ARGS = ["--alpha", "0.5235987755982988", "--phi", "0",
@@ -362,10 +384,10 @@ class TestVerify:
         assert "--verify-repeats" in err and "Warning" not in err
 
     def test_round_trip_evaluates_one_law_per_scenario(self, law_calls):
-        # one per random scenario, one for the degenerate-coupling refusals
+        # one per random scenario; the degenerate-coupling refusals evaluate none
         result = verify.suite_round_trip(count=25, seed=3)
         assert result.passed
-        assert len(law_calls) == 25 + 1
+        assert len(law_calls) == 25
 
     def test_byte_identical_runs_and_workers(self, capsys):
         _, first, _ = run(capsys, ["verify", *FAST_VERIFY])

@@ -63,10 +63,9 @@ class TestBinaryDistribution:
         with pytest.raises(InvalidParameter):
             BinaryDistribution(0.6, 0.6)
 
-    def test_out_of_unit_range_is_allowed_but_flagged(self):
+    def test_out_of_unit_range_is_allowed(self):
         d = BinaryDistribution(1.05, -0.05)
-        assert not d.within_unit_interval()
-        assert BinaryDistribution(0.3, 0.7).within_unit_interval()
+        assert (d.p_plus, d.p_minus) == (1.05, -0.05)
 
 
 class TestEntangledState:

@@ -14,6 +14,7 @@ from seqmeas import (
     TrialBatch,
     crb_check,
     estimate,
+    estimator_weights,
     joint_distribution,
     make_direction,
     make_state,
@@ -173,13 +174,13 @@ class TestEstimate:
         law = joint_distribution(setup)
         np.testing.assert_allclose(law.as_array(), [0.2, 0.15, 0.05, 0.6], atol=1e-12)
         batch = TrialBatch(counts=(20, 15, 5, 60), trials=100, seed=0)
-        stats = estimate(batch, setup)
+        stats = estimate(batch, estimator_weights(setup))
         assert stats.est_A == pytest.approx(-0.5, abs=1e-12)
         assert stats.est_B == pytest.approx(-0.5, abs=1e-12)
 
     def test_ideal_proportions_scenario(self, worked_setup):
         batch = TrialBatch(counts=(348205, 1795, 498205, 151795), trials=1_000_000, seed=0)
-        stats = estimate(batch, worked_setup)
+        stats = estimate(batch, estimator_weights(worked_setup))
         assert stats.est_A == pytest.approx(-0.5, abs=1e-12)
         assert stats.est_B == pytest.approx(math.sqrt(3) / 2, abs=1e-6)
 
@@ -187,13 +188,14 @@ class TestEstimate:
         setup = JointSetup(
             make_state(math.pi / 6, 0.0), make_direction(math.pi / 2, 0.0), Coupling(math.sqrt(0.8))
         )
-        stats = estimate(TrialBatch(counts=(1, 0, 0, 0), trials=1, seed=0), setup)
+        batch = TrialBatch(counts=(1, 0, 0, 0), trials=1, seed=0)
+        stats = estimate(batch, estimator_weights(setup))
         assert stats.est_A == pytest.approx(1.0 / 0.6, abs=1e-9)
         assert stats.est_B == pytest.approx(1.25, abs=1e-9)
 
     def test_standard_error_identity_for_a(self, worked_setup):
         batch = sample(worked_setup, 200_000, seed=17)
-        stats = estimate(batch, worked_setup)
+        stats = estimate(batch, estimator_weights(worked_setup))
         f = batch.frequencies()
         fm_plus, fm_minus = f[0] + f[1], f[2] + f[3]
         kappa = worked_setup.coupling.kappa
@@ -203,10 +205,11 @@ class TestEstimate:
     def test_degenerate_couplings_refuse(self):
         state, direction = make_state(0.6, 0.0), make_direction(1.0, 0.0)
         batch = TrialBatch(counts=(2, 3, 4, 1), trials=10, seed=0)
+        # the weights an estimate needs refuse the coupling
         with pytest.raises(DegenerateCoupling, match="A channel"):
-            estimate(batch, JointSetup(state, direction, Coupling(GAMMA_MIN)))
+            estimate(batch, estimator_weights(JointSetup(state, direction, Coupling(GAMMA_MIN))))
         with pytest.raises(DegenerateCoupling, match="B channel"):
-            estimate(batch, JointSetup(state, direction, Coupling(1.0)))
+            estimate(batch, estimator_weights(JointSetup(state, direction, Coupling(1.0))))
 
 
 class TestThreadCount:
@@ -302,7 +305,6 @@ class TestCrbCheck:
 
     def test_variance_identity_for_a(self, worked_setup):
         # Var(est_A) = 1 / (n I_A_joint) exactly under the multinomial law
-        from seqmeas.correction import estimator_weights
         from seqmeas.montecarlo import _affine_variance
 
         w_a, _ = estimator_weights(worked_setup)

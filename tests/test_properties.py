@@ -16,7 +16,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from seqmeas import oracle  # noqa: E402
 from seqmeas.cli import _csv_cell, _jsonify, _render_rows  # noqa: E402
-from seqmeas.correction import recover_a, recover_b  # noqa: E402
+from seqmeas.correction import estimator_weights  # noqa: E402
 from seqmeas.coupling import (  # noqa: E402
     GAMMA_MIN,
     JOINT_CELLS,
@@ -64,15 +64,12 @@ def test_counts_do_not_depend_on_the_sharding(setup, trials, workers, seed):
 @PROPERTY
 @given(setup=setups(st.floats(*RANDOM_GAMMA_RANGE)))
 def test_correction_inverts_the_exact_laws(setup):
-    p_m = meter_probabilities(setup)
-    rec_a = recover_a(p_m, setup.coupling)
-    rec_b = recover_b(b_probabilities(setup), p_m, setup.b_dir, setup.coupling)
-    s2 = math.sin(setup.state.alpha) ** 2
+    # the unbiasedness condition: each weight vector maps the exact law to its expectation
+    w_a, w_b = estimator_weights(setup)
+    law = joint_distribution(setup).as_array()
+    assert w_a @ law == pytest.approx(-math.cos(2.0 * setup.state.alpha), abs=1e-10)
     born_plus = born_probability(setup.state, setup.b_dir, +1)
-    assert rec_a.p_plus == pytest.approx(s2, abs=1e-10)
-    assert rec_a.p_minus == pytest.approx(1.0 - s2, abs=1e-10)
-    assert rec_b.p_plus == pytest.approx(born_plus, abs=1e-10)
-    assert rec_b.p_minus == pytest.approx(1.0 - born_plus, abs=1e-10)
+    assert w_b @ law == pytest.approx(2.0 * born_plus - 1.0, abs=1e-10)
 
 
 @PROPERTY
