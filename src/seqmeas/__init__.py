@@ -44,10 +44,8 @@ from .fisher import (
     tradeoff_curve,
 )
 from .montecarlo import (
-    CrbReport,
     SampleStats,
     TrialBatch,
-    UnbiasednessReport,
     crb_check,
     estimate,
     sample,

@@ -67,7 +67,7 @@ def _round9(x: float) -> float:
 
 
 def _fmt9(x: float) -> str:
-    return f"{_round9(x):.9g}"
+    return f"{x + 0.0:.9g}"  # +0.0 normalizes -0.0
 
 
 def _jsonify(value):
@@ -208,7 +208,7 @@ def cmd_estimate(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_tradeoff(args: argparse.Namespace, out: TextIO) -> int:
     _, state, direction = _state_and_direction(args)
-    rows = [p[:4] for p in tradeoff_curve(state, direction, args.grid)]  # frees the points
+    rows = tradeoff_curve(state, direction, args.grid)
     out.write(_render_rows(["gamma", "kappa", "epsilon", "eta"], rows, args.fmt))
     return 0
 

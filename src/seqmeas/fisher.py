@@ -55,7 +55,6 @@ class TradeoffPoint(NamedTuple):
     kappa: float
     epsilon: float
     eta: float
-    valid: bool = True
 
 
 def _binary_information(p_plus, p_minus, dp):
@@ -133,10 +132,10 @@ def tradeoff_curve(
     Rows are ``grid`` couplings uniform on the open interval plus exact
     endpoint rows carrying the analytic limits (0, 1) and (1, 0); the
     formula path is never evaluated at the endpoints themselves.  Rows whose
-    distributions degenerate are marked invalid rather than aborting the
-    sweep.  States that are eigenstates of either observable are rejected,
-    as are states whose second-measurement statistics do not depend on the
-    coupling at all (no trade-off exists there).
+    distributions degenerate carry nan for epsilon and eta rather than
+    aborting the sweep.  States that are eigenstates of either observable
+    are rejected, as are states whose second-measurement statistics do not
+    depend on the coupling at all (no trade-off exists there).
     """
     if grid < 2:
         raise InvalidParameter(f"grid must be >= 2, got {grid!r}")
@@ -158,6 +157,6 @@ def tradeoff_curve(
     m_plus[degenerate] = b_plus[degenerate] = np.nan  # nan rows: the information diverges
     epsilons = _binary_information(m_plus, p_mp + p_mm, 0.5 * kappas) / i_a_proj
     etas = _binary_information(b_plus, p_pm + p_mm, 0.5 * decos) / i_b_proj
-    rows = zip(*(a.tolist() for a in (gammas, kappas, epsilons, etas, ~degenerate)))
+    rows = zip(*(a.tolist() for a in (gammas, kappas, epsilons, etas)))
     return [TradeoffPoint(GAMMA_MIN, 0.0, 0.0, 1.0), *(TradeoffPoint(*row) for row in rows),
             TradeoffPoint(1.0, 1.0, 1.0, 0.0)]

@@ -10,7 +10,7 @@ from seqmeas import cli
 from seqmeas.cli import (MAX_GRID, MAX_SCAN_POINTS, MAX_TRIALS, MAX_VERIFY_REPEATS,
                          MAX_VERIFY_TRIALS, _render_rows, main)
 from seqmeas.correction import ZnzdClass, is_znzd
-from seqmeas.coupling import BinaryDistribution
+from seqmeas.coupling import JointDistribution
 from seqmeas.qubit import make_direction, make_state
 
 E1_ARGS = [
@@ -359,14 +359,16 @@ class TestVerify:
         assert all(suite["passed"] for suite in report["suites"])
 
     def test_injected_fault_fails(self, capsys, monkeypatch):
-        # negative control: a 1e-3 error in the disturbed law must fail the oracle suite
-        exact = verify.b_probabilities
+        # negative control: moving 1e-3 of the joint law from its largest cell (at
+        # least 1/4) to its smallest must fail the oracle suite
+        exact = verify.joint_distribution
 
         def shifted(setup):
-            p = exact(setup)
-            return BinaryDistribution(p.p_plus + 1e-3, p.p_minus - 1e-3)
+            cells = exact(setup).as_array()
+            cells[[cells.argmax(), cells.argmin()]] += [-1e-3, 1e-3]
+            return JointDistribution(*cells)
 
-        monkeypatch.setattr(verify, "b_probabilities", shifted)
+        monkeypatch.setattr(verify, "joint_distribution", shifted)
         code, out, _ = run(capsys, ["verify", *FAST_VERIFY])
         assert code == 1
         report = json.loads(out)

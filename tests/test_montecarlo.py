@@ -12,9 +12,11 @@ from seqmeas import (
     InvalidParameter,
     JointSetup,
     TrialBatch,
+    a_direction,
     crb_check,
     estimate,
     estimator_weights,
+    expectation,
     joint_distribution,
     make_direction,
     make_state,
@@ -24,7 +26,7 @@ from seqmeas import (
 from seqmeas.coupling import GAMMA_MIN
 import seqmeas.montecarlo as montecarlo
 from seqmeas.montecarlo import _thread_count, _z_score, derive_seed, trial_uniforms
-from seqmeas.verify import default_setup
+from seqmeas.verify import Z_LIMIT, default_setup
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -240,11 +242,15 @@ class TestZScore:
 
 class TestUnbiasednessCheck:
     def test_worked_scenario_passes(self, worked_setup):
-        report = unbiasedness_check(worked_setup, trials=100_000, repeats=20, seed=42)
-        assert report.true_A == pytest.approx(-0.5, abs=1e-12)
-        assert report.true_B == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
-        assert report.pass_A and report.pass_B
-        assert abs(report.z_A) < 5 and abs(report.z_B) < 5
+        metrics = unbiasedness_check(worked_setup, trials=100_000, repeats=20, seed=42)
+        assert list(metrics) == ["z_A", "z_B", "mean_A", "mean_B"]
+        true_a = expectation(worked_setup.state, a_direction())
+        true_b = expectation(worked_setup.state, worked_setup.b_dir)
+        assert true_a == pytest.approx(-0.5, abs=1e-12)
+        assert true_b == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
+        assert metrics["mean_A"] == pytest.approx(true_a, abs=0.01)
+        assert metrics["mean_B"] == pytest.approx(true_b, abs=0.01)
+        assert abs(metrics["z_A"]) < Z_LIMIT and abs(metrics["z_B"]) < Z_LIMIT
 
     def test_estimator_weights_computed_once(self, worked_setup, monkeypatch):
         import seqmeas.montecarlo as montecarlo_mod
@@ -272,17 +278,19 @@ class TestUnbiasednessCheck:
 
 class TestCrbCheck:
     def test_bound_value(self, worked_setup):
-        report = crb_check(worked_setup, trials=10_000, repeats=20, seed=5)
+        metrics, var_b = crb_check(worked_setup, trials=10_000, repeats=20, seed=5)
+        assert list(metrics) == ["ratio_A", "ratio_B", "crb_A", "crb_B", "var_B_analytic"]
         # I_A_joint = kappa^2/4 / (0.35 * 0.65)
         expected_crb = 1.0 / (10_000 * (0.09 / 0.2275))
-        assert report.crb_A == pytest.approx(expected_crb, rel=1e-9)
-        assert report.var_B_analytic > 0.0
-        assert report.crb_B == pytest.approx(1.0 / (10_000 * 0.16 / 0.13), rel=1e-9)
+        assert metrics["crb_A"] == pytest.approx(expected_crb, rel=1e-9)
+        assert metrics["var_B_analytic"] > 0.0
+        assert metrics["crb_B"] == pytest.approx(1.0 / (10_000 * 0.16 / 0.13), rel=1e-9)
+        assert var_b == pytest.approx(metrics["ratio_B"] * metrics["var_B_analytic"], rel=1e-12)
 
     def test_ratios_concentrate(self, worked_setup):
-        report = crb_check(worked_setup, trials=100_000, repeats=200, seed=9)
-        assert 0.9 <= report.ratio_A <= 1.1
-        assert 0.9 <= report.ratio_B <= 1.1
+        metrics, _ = crb_check(worked_setup, trials=100_000, repeats=200, seed=9)
+        assert 0.9 <= metrics["ratio_A"] <= 1.1
+        assert 0.9 <= metrics["ratio_B"] <= 1.1
 
     def test_one_law_and_one_weight_call(self, monkeypatch):
         calls = {"estimator_weights": 0, "joint_distribution": 0}

@@ -15,7 +15,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from seqmeas import oracle  # noqa: E402
-from seqmeas.cli import _csv_cell, _jsonify, _render_rows  # noqa: E402
+from seqmeas.cli import _csv_cell, _fmt9, _jsonify, _render_rows  # noqa: E402
 from seqmeas.correction import estimator_weights  # noqa: E402
 from seqmeas.coupling import (  # noqa: E402
     GAMMA_MIN,
@@ -125,3 +125,6 @@ def test_rows_render_as_the_json_encoder_and_the_csv_cells_do(table):
     assert _render_rows(columns, rows, "json") == json.dumps(_jsonify(payload), indent=2) + "\n"
     lines = [",".join(columns), *(",".join(_csv_cell(v) for v in row) for row in rows)]
     assert _render_rows(columns, rows, "csv") == "\n".join(lines) + "\n"
+    # one format call prints what formatting, parsing back and formatting again printed
+    for v in (v for row in rows for v in row):
+        assert _fmt9(v) == f"{float(f'{v:.9g}') + 0.0:.9g}"
