@@ -15,10 +15,7 @@ from .correction import (
     is_znzd,
 )
 from .coupling import (
-    BinaryDistribution,
     Coupling,
-    Decomposition,
-    JointDistribution,
     JointSetup,
     b_probabilities,
     decompose,
@@ -52,7 +49,6 @@ from .montecarlo import (
     unbiasedness_check,
 )
 from .qubit import (
-    DensityMatrix,
     ObservableDirection,
     PureState,
     a_direction,

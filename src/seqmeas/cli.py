@@ -29,22 +29,25 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from functools import partial
 from typing import TextIO
 
-from .correction import ZNZD_TOL, ZnzdClass, estimator_weights, is_znzd
+from .correction import ZNZD_TOL, ZnzdClass, check_tol, estimator_weights, is_znzd
 from .coupling import (
     Coupling,
     JointSetup,
     angular_factors,
+    b_law,
     decompose,
     joint_distribution,
+    meter_law,
     post_measurement_density,
 )
 from .errors import SeqmeasError
 from .fisher import tradeoff_curve
 from .montecarlo import _MASK64, _z_score, estimate, sample
-from .qubit import (ObservableDirection, PureState, a_direction, expectation, make_direction,
-                    make_state)
+from .qubit import (ObservableDirection, PureState, _require_finite, a_direction, expectation,
+                    make_direction, make_state)
 from .verify import DEFAULT_SCENARIO, run_verification
 
 SEED_ENV_VAR = "SEQMEAS_SEED"
@@ -145,7 +148,7 @@ def _state_and_direction(args: argparse.Namespace) -> tuple[dict, PureState, Obs
 def _joint_setup(args: argparse.Namespace) -> tuple[JointSetup, dict]:
     """The scenario of ``probs`` and ``estimate``, and its report entry."""
     angles, state, direction = _state_and_direction(args)
-    c = Coupling(args.gamma)
+    c = args.coupling
     scenario = {**angles, "gamma": c.gamma, "kappa": c.kappa, "deco": c.deco}
     return JointSetup(state, direction, c), scenario
 
@@ -153,18 +156,14 @@ def _joint_setup(args: argparse.Namespace) -> tuple[JointSetup, dict]:
 def cmd_probs(args: argparse.Namespace, out: TextIO) -> int:
     setup, scenario = _joint_setup(args)
     law = joint_distribution(setup)
-    p_m, p_b = law.meter_marginal(), law.b_marginal()
-    parts = decompose(setup)
-    rho = post_measurement_density(setup).entries
+    rho = post_measurement_density(setup)
     report = {
         "scenario": scenario,
-        "meter": {"p_plus": p_m.p_plus, "p_minus": p_m.p_minus},
-        "b_measurement": {"p_plus": p_b.p_plus, "p_minus": p_b.p_minus},
-        "joint": {"pp": law.p_pp, "pm": law.p_pm, "mp": law.p_mp, "mm": law.p_mm},
-        "decomposition": {
-            "independent_part": parts.independent_part,
-            "coherent_coefficient": parts.coherent_coefficient,
-        },
+        "meter": dict(zip(("p_plus", "p_minus"), meter_law(law))),
+        "b_measurement": dict(zip(("p_plus", "p_minus"), b_law(law))),
+        "joint": dict(zip(("pp", "pm", "mp", "mm"), law.tolist())),
+        "decomposition": dict(zip(("independent_part", "coherent_coefficient"),
+                                  decompose(setup))),
         "density": {
             "rho00": rho[0, 0].real,
             "rho01_re": rho[0, 1].real,
@@ -272,12 +271,16 @@ def _int_in(low: int, high: float = math.inf, source: str = ""):
     return parse
 
 
-def _gamma_of_kappa(text: str) -> float:
-    """The type of ``--kappa``: the strength, stored as the amplitude gamma."""
-    try:
-        return Coupling.from_kappa(float(text)).gamma
-    except ValueError as exc:  # also InvalidParameter
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _checked(check):
+    """An argparse type: ``check(float(text))``, whose refusal is a usage error naming the option."""
+
+    def parse(text: str):
+        try:
+            return check(float(text))
+        except ValueError as exc:  # also InvalidParameter
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,17 +294,19 @@ def build_parser() -> argparse.ArgumentParser:
     # Option groups; each subcommand takes exactly the groups it reads.
     # Omitted angles are None and take the default scenario in radians.
     angles = argparse.ArgumentParser(add_help=False)
-    angles.add_argument("--alpha", type=float, help="state polar angle (radians)")
-    angles.add_argument("--phi", type=float, help="state relative phase (radians)")
-    angles.add_argument("--theta", type=float, help="observable polar angle (radians)")
-    angles.add_argument("--varphi", type=float, help="observable azimuthal angle (radians)")
+    angle = _checked(partial(_require_finite, "angle"))
+    angles.add_argument("--alpha", type=angle, help="state polar angle (radians)")
+    angles.add_argument("--phi", type=angle, help="state relative phase (radians)")
+    angles.add_argument("--theta", type=angle, help="observable polar angle (radians)")
+    angles.add_argument("--varphi", type=angle, help="observable azimuthal angle (radians)")
     angles.add_argument("--degrees", action="store_true", help="the angles given are in degrees")
 
     coupling = argparse.ArgumentParser(add_help=False)
     strength = coupling.add_mutually_exclusive_group()
-    strength.add_argument("--gamma", type=float, default=DEFAULT_SCENARIO[4],
+    strength.add_argument("--gamma", dest="coupling", type=_checked(Coupling),
+                          default=Coupling(DEFAULT_SCENARIO[4]),
                           help="coupling amplitude in [1/sqrt(2), 1]")
-    strength.add_argument("--kappa", dest="gamma", type=_gamma_of_kappa,
+    strength.add_argument("--kappa", dest="coupling", type=_checked(Coupling.from_kappa),
                           default=argparse.SUPPRESS,
                           help="measurement strength in [0, 1] (alternative to --gamma)")
 
@@ -349,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scan a (phi, alpha) grid and emit the nontrivial locus")
     p_znzd.add_argument("--scan-points", type=_int_in(4, MAX_SCAN_POINTS), default=360,
                         help="grid resolution per angle for --scan")
-    p_znzd.add_argument("--tol", type=float, default=ZNZD_TOL,
+    p_znzd.add_argument("--tol", type=_checked(check_tol), default=ZNZD_TOL,
                         help="tolerance for the classification tests")
     p_znzd.set_defaults(run=cmd_znzd)
     return parser

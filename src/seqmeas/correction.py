@@ -77,6 +77,13 @@ def estimator_weights(setup: JointSetup) -> tuple[np.ndarray, np.ndarray]:
     return w_a, (np.array([1.0, -1.0, 1.0, -1.0]) - population_part) / c.deco
 
 
+def check_tol(tol: float) -> float:
+    """The classification tolerance ``tol``, refused unless it is positive."""
+    if not (tol > 0.0):
+        raise InvalidParameter(f"tol must be positive, got {tol!r}")
+    return tol
+
+
 def is_znzd(state: PureState, direction: ObservableDirection, tol: float = ZNZD_TOL) -> ZnzdClass:
     """Classify whether the pre-measurement disturbs the second measurement.
 
@@ -86,8 +93,7 @@ def is_znzd(state: PureState, direction: ObservableDirection, tol: float = ZNZD_
     observables commute; it vanishes nontrivially, for non-commuting
     observables and a non-eigenstate, exactly when ``cos(varphi - phi) = 0``.
     """
-    if not (tol > 0.0):
-        raise InvalidParameter(f"tol must be positive, got {tol!r}")
+    check_tol(tol)
     sin_two_alpha, sin_theta, cos_delta = angular_factors(state, direction)
     if abs(sin_two_alpha) <= tol or abs(sin_theta) <= tol:
         return ZnzdClass.TRIVIAL

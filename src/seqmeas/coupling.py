@@ -11,9 +11,9 @@ A subsequent projective measurement of ``sigma . n`` on the partially
 decohered signal sees probabilities that split into a coupling-independent
 part (populations only) and a coherent part diminished by ``deco``.  This
 module provides the entangled state, the exact joint law of the two
-sequential outcomes (the primitive: both marginal outcome laws are sums of
-its cells, and sampling draws from it), the reduced density matrix and that
-decomposition.
+sequential outcomes as an array of four cells (the primitive: sampling draws
+from it, and :func:`meter_law` and :func:`b_law` sum it into the marginal
+laws), the reduced density matrix as a 2x2 array and that decomposition.
 """
 
 from __future__ import annotations
@@ -24,11 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .qubit import (
-    DensityMatrix,
-    ObservableDirection,
-    PureState,
-)
+from .qubit import ObservableDirection, PureState
 
 GAMMA_MIN = 1.0 / math.sqrt(2.0)
 
@@ -88,73 +84,20 @@ class JointSetup:
     coupling: Coupling
 
 
-@dataclass(frozen=True)
-class BinaryDistribution:
-    """Probabilities of a +1/-1 outcome pair.
-
-    The pair must sum to 1.  The values are not range-checked: every pair
-    built here is an exact law (a marginal of a :class:`JointDistribution`
-    or a pair of Born probabilities), which only round-off can push outside
-    [0, 1].
-    """
-
-    p_plus: float
-    p_minus: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.p_plus) and math.isfinite(self.p_minus)):
-            raise InvalidParameter("probabilities must be finite")
-        if abs(self.p_plus + self.p_minus - 1.0) > 1e-9:
-            raise InvalidParameter(
-                f"outcome probabilities must sum to 1, got {self.p_plus + self.p_minus!r}"
-            )
-
-
-# Cell order used for the joint law everywhere (counts, sampling, CSV):
+# Cell order used for the joint law everywhere (counts, sampling, CSV), and along
+# the first axis of the cells that meter_law and b_law sum, for one law or many:
 # (m=+1,b=+1), (m=+1,b=-1), (m=-1,b=+1), (m=-1,b=-1).
 JOINT_CELLS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 
 
-@dataclass(frozen=True)
-class JointDistribution:
-    """Joint law of (meter outcome m, second-measurement outcome b)."""
-
-    p_pp: float
-    p_pm: float
-    p_mp: float
-    p_mm: float
-
-    def __post_init__(self) -> None:
-        cells = (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
-        if not all(math.isfinite(c) for c in cells):
-            raise InvalidParameter("joint probabilities must be finite")
-        if any(c < -1e-12 or c > 1.0 + 1e-12 for c in cells):
-            raise InvalidParameter(f"joint probabilities must lie in [0, 1], got {cells!r}")
-        if abs(sum(cells) - 1.0) > 1e-9:
-            raise InvalidParameter(f"joint probabilities must sum to 1, got {sum(cells)!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_pp, self.p_pm, self.p_mp, self.p_mm])
-
-    def meter_marginal(self) -> BinaryDistribution:
-        return BinaryDistribution(self.p_pp + self.p_pm, self.p_mp + self.p_mm)
-
-    def b_marginal(self) -> BinaryDistribution:
-        return BinaryDistribution(self.p_pp + self.p_mp, self.p_pm + self.p_mm)
+def meter_law(cells):
+    """``(p_plus, p_minus)`` of the meter outcome m: the joint cells summed over b."""
+    return cells[0] + cells[1], cells[2] + cells[3]
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Split of the +1 probability of the second measurement.
-
-    ``independent_part`` is built from populations only and is untouched by
-    the coupling; ``coherent_coefficient`` is the coherent term
-    ``gamma gamma_bar sin(2 alpha) sin(theta) cos(varphi - phi)`` so that
-    ``p(b=+1) = independent_part + coherent_coefficient``.
-    """
-
-    independent_part: float
-    coherent_coefficient: float
+def b_law(cells):
+    """``(p_plus, p_minus)`` of the second outcome b: the joint cells summed over m."""
+    return cells[0] + cells[2], cells[1] + cells[3]
 
 
 def entangled_state(setup: JointSetup) -> np.ndarray:
@@ -172,19 +115,17 @@ def entangled_state(setup: JointSetup) -> np.ndarray:
     )
 
 
-def meter_probabilities(setup: JointSetup) -> BinaryDistribution:
+def meter_probabilities(setup: JointSetup) -> tuple[float, float]:
     """Outcome law of the meter readout: ``p(+1) = kappa sin^2 a + gamma_bar^2``."""
-    return joint_distribution(setup).meter_marginal()
+    return meter_law(joint_distribution(setup))
 
 
-def post_measurement_density(setup: JointSetup) -> DensityMatrix:
-    """Signal state after the meter readout, with coherences scaled by ``deco``."""
+def post_measurement_density(setup: JointSetup) -> np.ndarray:
+    """Signal 2x2 density matrix after the meter readout, with coherences scaled by ``deco``."""
     st = setup.state
     sa, ca = math.sin(st.alpha), math.cos(st.alpha)
     off = setup.coupling.deco * sa * ca * complex(math.cos(st.phi), -math.sin(st.phi))
-    return DensityMatrix(
-        np.array([[sa * sa, off], [off.conjugate(), ca * ca]], dtype=complex)
-    )
+    return np.array([[sa * sa, off], [off.conjugate(), ca * ca]], dtype=complex)
 
 
 def angular_factors(state: PureState, direction: ObservableDirection) -> tuple[float, float, float]:
@@ -199,20 +140,19 @@ def _coherent(gamma, gamma_bar, state: PureState, direction: ObservableDirection
     return gamma * gamma_bar * sin_two_alpha * sin_theta * cos_delta
 
 
-def decompose(setup: JointSetup) -> Decomposition:
-    """Coupling-independent (the b law at gamma = 1) and coherent parts of p(b = +1)."""
+def decompose(setup: JointSetup) -> tuple[float, float]:
+    """Coupling-independent (the b law at gamma = 1) and coherent parts of p(b = +1), in order."""
     st, d, c = setup.state, setup.b_dir, setup.coupling
-    p_pp, _, p_mp, _ = joint_law(st, d, 1.0).tolist()
-    return Decomposition(p_pp + p_mp, _coherent(c.gamma, c.gamma_bar, st, d))
+    return b_law(joint_law(st, d, 1.0))[0], _coherent(c.gamma, c.gamma_bar, st, d)
 
 
-def b_probabilities(setup: JointSetup) -> BinaryDistribution:
+def b_probabilities(setup: JointSetup) -> tuple[float, float]:
     """Outcome law of the second measurement on the decohered signal.
 
     ``p(+1) = (1 - deco) n + deco <+|state>|^2`` with n the population-only
     part; equals tr(rho Pi) for the post-measurement density matrix.
     """
-    return joint_distribution(setup).b_marginal()
+    return b_law(joint_distribution(setup))
 
 
 def joint_law(state: PureState, direction: ObservableDirection, gamma) -> np.ndarray:
@@ -222,8 +162,8 @@ def joint_law(state: PureState, direction: ObservableDirection, gamma) -> np.nda
     meter outcome m (standard collapse rule, which also covers branches of
     zero norm): the branch populations weighted by the half-angle overlaps of
     the b eigenvector, plus or minus the interference term ``x``, half the
-    coherent coefficient of :func:`decompose`.  Both marginal laws are sums
-    of these cells.
+    coherent coefficient of :func:`decompose`.  :func:`meter_law` and
+    :func:`b_law` sum these cells into the two marginal laws.
     """
     gamma_bar = coupling_factors(gamma)[0]
     s2, c2 = math.sin(state.alpha) ** 2, math.cos(state.alpha) ** 2
@@ -238,6 +178,6 @@ def joint_law(state: PureState, direction: ObservableDirection, gamma) -> np.nda
     ]), 0.0, 1.0)
 
 
-def joint_distribution(setup: JointSetup) -> JointDistribution:
+def joint_distribution(setup: JointSetup) -> np.ndarray:
     """Exact joint law of the sequential outcomes (m, b); :func:`joint_law` at one gamma."""
-    return JointDistribution(*joint_law(setup.state, setup.b_dir, setup.coupling.gamma).tolist())
+    return joint_law(setup.state, setup.b_dir, setup.coupling.gamma)

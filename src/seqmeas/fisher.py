@@ -22,12 +22,13 @@ import numpy as np
 from .correction import ZnzdClass, is_znzd
 from .coupling import (
     GAMMA_MIN,
-    BinaryDistribution,
     Coupling,
     JointSetup,
+    b_law,
     coupling_factors,
     joint_distribution,
     joint_law,
+    meter_law,
 )
 from .errors import DegenerateDistribution, InvalidParameter, UnboundedVariance
 from .qubit import ObservableDirection, PureState, a_direction, born_probability
@@ -62,29 +63,27 @@ def _binary_information(p_plus, p_minus, dp):
     return dp * dp / (p_plus * p_minus)
 
 
-def _information(p: BinaryDistribution, dp: float, label: str) -> float:
-    """:func:`_binary_information`; refuses a degenerate law, naming it by ``label``."""
-    if p.p_plus <= 0.0 or p.p_plus >= 1.0:
+def _information(p: tuple[float, float], dp: float, label: str) -> float:
+    """:func:`_binary_information` of ``p = (p_plus, p_minus)``; refuses a degenerate ``p``."""
+    p_plus, p_minus = p
+    if p_plus <= 0.0 or p_plus >= 1.0:
         raise DegenerateDistribution(
             f"{label} outcome distribution is degenerate "
-            f"(p_plus = {p.p_plus!r}); Fisher information diverges"
+            f"(p_plus = {float(p_plus)!r}); Fisher information diverges"
         )
-    return _binary_information(p.p_plus, p.p_minus, dp)
+    return float(_binary_information(p_plus, p_minus, dp))
 
 
-def _meter_information(p_m: BinaryDistribution, c: Coupling) -> float:
-    return _information(p_m, 0.5 * c.kappa, "meter (A channel)")
+def _meter_information(law: np.ndarray, c: Coupling) -> float:
+    return _information(meter_law(law), 0.5 * c.kappa, "meter (A channel)")
 
 
-def _b_information(p_b: BinaryDistribution, c: Coupling) -> float:
-    return _information(p_b, 0.5 * c.deco, "second measurement (B channel)")
+def _b_information(law: np.ndarray, c: Coupling) -> float:
+    return _information(b_law(law), 0.5 * c.deco, "second measurement (B channel)")
 
 
 def _projective_information(state: PureState, direction: ObservableDirection, name: str) -> float:
-    p = BinaryDistribution(
-        born_probability(state, direction, +1),
-        born_probability(state, direction, -1),
-    )
+    p = (born_probability(state, direction, +1), born_probability(state, direction, -1))
     return _information(p, 0.5, f"projective {name} (state is an eigenstate of {name})")
 
 
@@ -101,8 +100,8 @@ def fisher_b_proj(state: PureState, direction: ObservableDirection) -> float:
 def precisions(setup: JointSetup) -> FisherReport:
     """Fisher informations of the scenario and the precision ratios epsilon, eta."""
     law = joint_distribution(setup)
-    i_a_joint = _meter_information(law.meter_marginal(), setup.coupling)
-    i_b_joint = _b_information(law.b_marginal(), setup.coupling)
+    i_a_joint = _meter_information(law, setup.coupling)
+    i_b_joint = _b_information(law, setup.coupling)
     i_a_proj = fisher_a_proj(setup.state)
     i_b_proj = fisher_b_proj(setup.state, setup.b_dir)
     return FisherReport(
@@ -151,12 +150,12 @@ def tradeoff_curve(
     lo, hi = GAMMA_MIN + ENDPOINT_OFFSET, 1.0 - ENDPOINT_OFFSET
     gammas = lo + (hi - lo) * np.arange(grid) / (grid - 1)
     _, kappas, decos = coupling_factors(gammas)
-    p_pp, p_pm, p_mp, p_mm = joint_law(state, direction, gammas)
-    m_plus, b_plus = p_pp + p_pm, p_pp + p_mp
+    cells = joint_law(state, direction, gammas)
+    (m_plus, m_minus), (b_plus, b_minus) = meter_law(cells), b_law(cells)
     degenerate = (m_plus <= 0.0) | (m_plus >= 1.0) | (b_plus <= 0.0) | (b_plus >= 1.0)
     m_plus[degenerate] = b_plus[degenerate] = np.nan  # nan rows: the information diverges
-    epsilons = _binary_information(m_plus, p_mp + p_mm, 0.5 * kappas) / i_a_proj
-    etas = _binary_information(b_plus, p_pm + p_mm, 0.5 * decos) / i_b_proj
+    epsilons = _binary_information(m_plus, m_minus, 0.5 * kappas) / i_a_proj
+    etas = _binary_information(b_plus, b_minus, 0.5 * decos) / i_b_proj
     rows = zip(*(a.tolist() for a in (gammas, kappas, epsilons, etas)))
     return [TradeoffPoint(GAMMA_MIN, 0.0, 0.0, 1.0), *(TradeoffPoint(*row) for row in rows),
             TradeoffPoint(1.0, 1.0, 1.0, 0.0)]

@@ -119,8 +119,7 @@ def sample(setup: JointSetup, trials: int, seed: int, workers: int = 1) -> Trial
         raise InvalidParameter(f"trials must be >= 1, got {trials!r}")
     if workers < 1:
         raise InvalidParameter(f"workers must be >= 1, got {workers!r}")
-    law = joint_distribution(setup)
-    cum = np.cumsum(law.as_array())
+    cum = np.cumsum(joint_distribution(setup))
 
     threads = _thread_count(workers, trials)
     bounds = np.linspace(0, trials, threads + 1, dtype=int).tolist()
@@ -226,12 +225,12 @@ def crb_check(
     est_a_vals, est_b_vals, w_b = _batch_estimates(setup, trials, repeats, seed, workers)
     var_b = float(est_b_vals.var(ddof=1))
     law = joint_distribution(setup)
-    crb_a = cramer_rao_bound(_meter_information(law.meter_marginal(), setup.coupling), trials)
-    var_b_analytic = _affine_variance(w_b, law.as_array(), trials)
+    crb_a = cramer_rao_bound(_meter_information(law, setup.coupling), trials)
+    var_b_analytic = _affine_variance(w_b, law, trials)
     return {
         "ratio_A": float(est_a_vals.var(ddof=1)) / crb_a,
         "ratio_B": var_b / var_b_analytic,
         "crb_A": crb_a,
-        "crb_B": cramer_rao_bound(_b_information(law.b_marginal(), setup.coupling), trials),
+        "crb_B": cramer_rao_bound(_b_information(law, setup.coupling), trials),
         "var_B_analytic": var_b_analytic,
     }, var_b

@@ -1,4 +1,4 @@
-"""Qubit states, Bloch-direction observables, density matrices and expectation values.
+"""Qubit states, Bloch-direction observables and expectation values.
 
 Conventions used throughout the package:
 
@@ -90,29 +90,6 @@ class ObservableDirection:
         if sign == -1:
             return np.array([math.sin(half), -phase * math.cos(half)], dtype=complex)
         raise InvalidParameter(f"sign must be +1 or -1, got {sign!r}")
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """2x2 density matrix; validated Hermitian, unit trace, positive semidefinite."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=complex)
-        if m.shape != (2, 2):
-            raise InvalidParameter(f"density matrix must be 2x2, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InvalidParameter("density matrix entries must be finite")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
-            raise InvalidParameter("density matrix must be Hermitian within 1e-12")
-        if abs(np.trace(m).real - 1.0) > 1e-12:
-            raise InvalidParameter("density matrix must have unit trace within 1e-12")
-        if np.linalg.eigvalsh(m).min() < -1e-12:
-            raise InvalidParameter("density matrix must be positive semidefinite")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
 
 
 def make_state(alpha: float, phi: float) -> PureState:

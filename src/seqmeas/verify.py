@@ -26,9 +26,11 @@ from .coupling import (
     JOINT_CELLS,
     Coupling,
     JointSetup,
+    b_law,
     entangled_state,
     joint_distribution,
     joint_law,
+    meter_law,
     post_measurement_density,
 )
 from .errors import DegenerateCoupling
@@ -92,16 +94,12 @@ def suite_oracle_equivalence(count: int = 1000, seed: int = 0) -> SuiteResult:
     for setup in random_setups(count, seed):
         ref = oracle.simulate(setup)
         law = joint_distribution(setup)
-        p_m, p_b = law.meter_marginal(), law.b_marginal()
-        rho = post_measurement_density(setup).entries
         errs = [
             float(np.max(np.abs(entangled_state(setup) - ref.state))),
-            abs(p_m.p_plus - ref.meter_probs[0]),
-            abs(p_m.p_minus - ref.meter_probs[1]),
-            abs(p_b.p_plus - ref.b_probs[0]),
-            abs(p_b.p_minus - ref.b_probs[1]),
-            float(np.max(np.abs(rho - ref.density))),
-            max(abs(p - ref.joint[cell]) for p, cell in zip(law.as_array(), JOINT_CELLS)),
+            float(np.max(np.abs(np.subtract(meter_law(law), ref.meter_probs)))),
+            float(np.max(np.abs(np.subtract(b_law(law), ref.b_probs)))),
+            float(np.max(np.abs(post_measurement_density(setup) - ref.density))),
+            max(abs(p - ref.joint[cell]) for p, cell in zip(law, JOINT_CELLS)),
         ]
         worst = max(worst, max(float(e) for e in errs))
     return SuiteResult(
@@ -117,7 +115,7 @@ def suite_round_trip(count: int = 1000, seed: int = 1) -> SuiteResult:
     worst = 0.0
     for setup in random_setups(count, seed):
         w_a, w_b = estimator_weights(setup)
-        law = joint_distribution(setup).as_array()
+        law = joint_distribution(setup)
         true_a = expectation(setup.state, a_direction())
         true_b = expectation(setup.state, setup.b_dir)
         worst = max(worst, abs(float(w_a @ law) - true_a), abs(float(w_b @ law) - true_b))
@@ -218,7 +216,7 @@ def znzd_states(count: int, seed: int, nontrivial: bool) -> list[tuple]:
 def b_variation_over_gamma(state, direction, points: int = 50) -> float:
     """Spread of the +1 probability of b across the whole coupling range."""
     cells = joint_law(state, direction, np.linspace(GAMMA_MIN, 1.0, points))
-    return float(np.ptp(cells[0] + cells[2]))
+    return float(np.ptp(b_law(cells)[0]))
 
 
 def suite_znzd(count: int = 100, seed: int = 4, grid: int = 50) -> SuiteResult:

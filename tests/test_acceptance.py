@@ -107,13 +107,13 @@ def test_criterion_5_fisher_closed_forms():
     for setup in random_setups(800, seed=5150):
         p_m = meter_probabilities(setup)
         p_b = b_probabilities(setup)
-        if min(p_m.p_plus, p_m.p_minus, p_b.p_plus, p_b.p_minus) < 0.02:
+        if min(p_m[0], p_m[1], p_b[0], p_b[1]) < 0.02:
             continue
         kappa, deco = setup.coupling.kappa, setup.coupling.deco
         if kappa < 1e-3 or deco < 1e-3:
             continue
         gb2 = setup.coupling.gamma_bar ** 2
-        n = decompose(setup).independent_part
+        n = decompose(setup)[0]
 
         def meter_law(x, kappa=kappa, gb2=gb2):
             return (kappa * (1 + x) / 2 + gb2, kappa * (1 - x) / 2 + gb2)

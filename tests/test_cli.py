@@ -10,7 +10,6 @@ from seqmeas import cli
 from seqmeas.cli import (MAX_GRID, MAX_SCAN_POINTS, MAX_TRIALS, MAX_VERIFY_REPEATS,
                          MAX_VERIFY_TRIALS, _render_rows, main)
 from seqmeas.correction import ZnzdClass, is_znzd
-from seqmeas.coupling import JointDistribution
 from seqmeas.qubit import make_direction, make_state
 
 E1_ARGS = [
@@ -24,7 +23,11 @@ FAST_VERIFY = ["--verify-trials", "50000", "--verify-repeats", "40", "--seed", "
 
 
 def run(capsys, argv):
-    code = main(argv)
+    """Exit code, stdout and stderr of one run; a usage error from the parser exits 2 too."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -364,9 +367,9 @@ class TestVerify:
         exact = verify.joint_distribution
 
         def shifted(setup):
-            cells = exact(setup).as_array()
+            cells = exact(setup)
             cells[[cells.argmax(), cells.argmin()]] += [-1e-3, 1e-3]
-            return JointDistribution(*cells)
+            return cells
 
         monkeypatch.setattr(verify, "joint_distribution", shifted)
         code, out, _ = run(capsys, ["verify", *FAST_VERIFY])
@@ -376,6 +379,15 @@ class TestVerify:
         oracle_suite = report["suites"][0]
         assert oracle_suite["name"] == "oracle_equivalence"
         assert oracle_suite["passed"] is False
+
+    def test_failing_statistical_suite_renders_as_json(self, capsys):
+        # 10 repeats put ratio_A outside the band at this seed: the suite fails, and
+        # its verdict and metrics must still be plain JSON booleans and numbers
+        code, out, _ = run(capsys, ["verify", "--seed", "7", "--verify-trials", "20000",
+                                    "--verify-repeats", "10"])
+        assert code == 1
+        suites = {suite["name"]: suite for suite in strict_json(out)["suites"]}
+        assert suites["cramer_rao"]["passed"] is False
 
     def test_one_repeat_is_a_usage_error(self, capsys):
         # one estimate per suite has no spread, so its z-scores and ratios are undefined
@@ -426,6 +438,23 @@ def test_unread_option_is_rejected(capsys, command, option, value):
         main(argv)
     assert excinfo.value.code == 2
     assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("probs", "--gamma", "2"),
+    ("estimate", "--kappa", "1.5"),
+    ("probs", "--alpha", "nan"),
+    ("probs", "--phi", "inf"),
+    ("tradeoff", "--theta", "-inf"),
+    ("znzd", "--varphi", "nan"),
+    ("znzd", "--tol", "-1"),
+])
+def test_out_of_domain_value_is_a_usage_error_naming_the_option(capsys, command, option, value):
+    # parser only: the library's own check of the value runs as the command line is parsed
+    with pytest.raises(SystemExit) as excinfo:
+        cli.build_parser().parse_args([command, option, value])
+    assert excinfo.value.code == 2
+    assert f"argument {option}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,option,cap", [

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from seqmeas import (
-    BinaryDistribution,
     Coupling,
     InvalidParameter,
     JointSetup,
@@ -19,13 +18,13 @@ from seqmeas import (
     post_measurement_density,
 )
 from seqmeas import oracle
-from seqmeas.coupling import GAMMA_MIN, JOINT_CELLS
+from seqmeas.coupling import GAMMA_MIN, JOINT_CELLS, b_law, meter_law
 from seqmeas.verify import random_setups
 
 
 def cell(law, m, b):
     """Probability of the joint outcome (m, b)."""
-    return law.as_array()[JOINT_CELLS.index((m, b))]
+    return law[JOINT_CELLS.index((m, b))]
 
 
 class TestCoupling:
@@ -58,16 +57,6 @@ class TestCoupling:
             Coupling.from_kappa(1.5)
 
 
-class TestBinaryDistribution:
-    def test_must_sum_to_one(self):
-        with pytest.raises(InvalidParameter):
-            BinaryDistribution(0.6, 0.6)
-
-    def test_out_of_unit_range_is_allowed(self):
-        d = BinaryDistribution(1.05, -0.05)
-        assert (d.p_plus, d.p_minus) == (1.05, -0.05)
-
-
 class TestEntangledState:
     def test_eigenstate_example(self):
         setup = JointSetup(make_state(0.0, 0.0), make_direction(0.0, 0.0), Coupling(0.9))
@@ -93,34 +82,34 @@ class TestEntangledState:
 class TestMeterProbabilities:
     def test_worked_example(self, worked_setup):
         p = meter_probabilities(worked_setup)
-        assert p.p_plus == pytest.approx(0.35, abs=1e-12)
-        assert p.p_minus == pytest.approx(0.65, abs=1e-12)
+        assert p[0] == pytest.approx(0.35, abs=1e-12)
+        assert p[1] == pytest.approx(0.65, abs=1e-12)
 
     def test_zero_strength_is_uniform(self):
         for alpha in np.linspace(0, math.pi, 7):
             setup = JointSetup(make_state(alpha, 0.3), make_direction(1.0, 0.0), Coupling(GAMMA_MIN))
             p = meter_probabilities(setup)
-            assert p.p_plus == pytest.approx(0.5, abs=1e-12)
+            assert p[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_projective_on_eigenstate(self):
         setup = JointSetup(make_state(math.pi / 2, 0.0), make_direction(0.0, 0.0), Coupling(1.0))
         p = meter_probabilities(setup)
-        assert p.p_plus == pytest.approx(1.0, abs=1e-12)
-        assert p.p_minus == pytest.approx(0.0, abs=1e-12)
+        assert p[0] == pytest.approx(1.0, abs=1e-12)
+        assert p[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_equals_branch_norms(self):
         for setup in random_setups(300, seed=43):
             amps = entangled_state(setup)
             p = meter_probabilities(setup)
-            assert p.p_plus == pytest.approx(abs(amps[0]) ** 2 + abs(amps[1]) ** 2, abs=1e-12)
-            assert p.p_minus == pytest.approx(abs(amps[2]) ** 2 + abs(amps[3]) ** 2, abs=1e-12)
+            assert p[0] == pytest.approx(abs(amps[0]) ** 2 + abs(amps[1]) ** 2, abs=1e-12)
+            assert p[1] == pytest.approx(abs(amps[2]) ** 2 + abs(amps[3]) ** 2, abs=1e-12)
 
 
 class TestPostMeasurementDensity:
     def test_worked_example(self):
         setup = JointSetup(make_state(math.pi / 4, 0.0), make_direction(0.0, 0.0), Coupling(math.sqrt(0.8)))
         np.testing.assert_allclose(
-            post_measurement_density(setup).entries,
+            post_measurement_density(setup),
             [[0.5, 0.4], [0.4, 0.5]],
             atol=1e-12,
         )
@@ -129,7 +118,7 @@ class TestPostMeasurementDensity:
         state = make_state(0.9, 2.1)
         setup = JointSetup(state, make_direction(1.0, 0.0), Coupling(GAMMA_MIN))
         np.testing.assert_allclose(
-            post_measurement_density(setup).entries,
+            post_measurement_density(setup),
             np.outer(state.vector(), state.vector().conj()),
             atol=1e-12,
         )
@@ -137,7 +126,7 @@ class TestPostMeasurementDensity:
     def test_full_decoherence_at_projective(self):
         state = make_state(0.9, 2.1)
         setup = JointSetup(state, make_direction(1.0, 0.0), Coupling(1.0))
-        rho = post_measurement_density(setup).entries
+        rho = post_measurement_density(setup)
         assert rho[0, 1] == 0.0 and rho[1, 0] == 0.0
         assert rho[0, 0].real == pytest.approx(math.sin(0.9) ** 2, abs=1e-12)
 
@@ -147,7 +136,7 @@ class TestPostMeasurementDensity:
         previous = math.inf
         for gamma in np.linspace(GAMMA_MIN, 1.0, 50):
             off = post_measurement_density(JointSetup(state, direction, Coupling(gamma)))
-            magnitude = abs(off.entries[0, 1])
+            magnitude = abs(off[0, 1])
             assert magnitude <= previous + 1e-15
             previous = magnitude
 
@@ -155,67 +144,67 @@ class TestPostMeasurementDensity:
 class TestBProbabilities:
     def test_worked_example(self, worked_setup):
         p = b_probabilities(worked_setup)
-        assert p.p_plus == pytest.approx(0.8464101615137753, abs=1e-12)
-        assert p.p_minus == pytest.approx(0.1535898384862246, abs=1e-12)
+        assert p[0] == pytest.approx(0.8464101615137753, abs=1e-12)
+        assert p[1] == pytest.approx(0.1535898384862246, abs=1e-12)
 
     def test_undisturbed_at_zero_strength(self):
         state, direction = make_state(0.8, 0.5), make_direction(1.2, 0.9)
         p = b_probabilities(JointSetup(state, direction, Coupling(GAMMA_MIN)))
-        assert p.p_plus == pytest.approx(born_probability(state, direction, +1), abs=1e-12)
+        assert p[0] == pytest.approx(born_probability(state, direction, +1), abs=1e-12)
 
     def test_znzd_case_is_coupling_invariant(self):
         state = make_state(math.pi / 4, math.pi / 2)
         direction = make_direction(math.pi / 2, 0.0)
         for gamma in np.linspace(GAMMA_MIN, 1.0, 25):
             p = b_probabilities(JointSetup(state, direction, Coupling(gamma)))
-            assert p.p_plus == pytest.approx(0.5, abs=1e-12)
+            assert p[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_equals_trace_with_projector(self):
         for setup in random_setups(300, seed=47):
-            rho = post_measurement_density(setup).entries
+            rho = post_measurement_density(setup)
             ket = setup.b_dir.ket(+1)
             pi_plus = np.outer(ket, ket.conj())
             p = b_probabilities(setup)
-            assert p.p_plus == pytest.approx(np.trace(rho @ pi_plus).real, abs=1e-12)
+            assert p[0] == pytest.approx(np.trace(rho @ pi_plus).real, abs=1e-12)
 
 
 class TestDecompose:
     def test_independent_part(self):
         setup = JointSetup(make_state(math.pi / 6, 0.0), make_direction(math.pi / 3, 0.0), Coupling(math.sqrt(0.8)))
-        assert decompose(setup).independent_part == pytest.approx(0.375, abs=1e-12)
+        assert decompose(setup)[0] == pytest.approx(0.375, abs=1e-12)
 
     def test_diagonal_observable(self):
         setup = JointSetup(make_state(0.7, 0.3), make_direction(0.0, 0.0), Coupling(0.9))
-        parts = decompose(setup)
-        assert parts.independent_part == pytest.approx(math.sin(0.7) ** 2, abs=1e-12)
-        assert parts.coherent_coefficient == pytest.approx(0.0, abs=1e-12)
+        independent_part, coherent_coefficient = decompose(setup)
+        assert independent_part == pytest.approx(math.sin(0.7) ** 2, abs=1e-12)
+        assert coherent_coefficient == pytest.approx(0.0, abs=1e-12)
 
     def test_coherent_coefficient(self):
         setup = JointSetup(make_state(math.pi / 4, 0.0), make_direction(math.pi / 2, 0.0), Coupling(math.sqrt(0.8)))
-        assert decompose(setup).coherent_coefficient == pytest.approx(0.4, abs=1e-12)
+        assert decompose(setup)[1] == pytest.approx(0.4, abs=1e-12)
 
     def test_reconstruction_identity(self):
         for setup in random_setups(300, seed=53):
-            parts = decompose(setup)
+            independent_part, coherent_coefficient = decompose(setup)
             deco = setup.coupling.deco
-            reconstructed = (1.0 - deco) * parts.independent_part + deco * born_probability(
+            reconstructed = (1.0 - deco) * independent_part + deco * born_probability(
                 setup.state, setup.b_dir, +1
             )
-            p_plus = b_probabilities(setup).p_plus
+            p_plus = b_probabilities(setup)[0]
             assert p_plus == pytest.approx(reconstructed, abs=1e-12)
             # the coherent coefficient is exactly the gap above the population part
             assert p_plus == pytest.approx(
-                parts.independent_part + parts.coherent_coefficient, abs=1e-12
+                independent_part + coherent_coefficient, abs=1e-12
             )
 
 
 class TestJointDistribution:
     def test_worked_example(self, worked_setup):
         law = joint_distribution(worked_setup)
-        assert law.p_pp == pytest.approx(0.3482050807568877, abs=1e-12)
-        assert law.p_pm == pytest.approx(0.0017949192431123, abs=1e-12)
-        assert law.p_mp == pytest.approx(0.4982050807568877, abs=1e-12)
-        assert law.p_mm == pytest.approx(0.1517949192431123, abs=1e-12)
+        assert law[0] == pytest.approx(0.3482050807568877, abs=1e-12)
+        assert law[1] == pytest.approx(0.0017949192431123, abs=1e-12)
+        assert law[2] == pytest.approx(0.4982050807568877, abs=1e-12)
+        assert law[3] == pytest.approx(0.1517949192431123, abs=1e-12)
 
     def test_zero_strength_factorizes(self):
         state, direction = make_state(0.8, 0.5), make_direction(1.2, 0.9)
@@ -228,8 +217,8 @@ class TestJointDistribution:
     def test_deterministic_chain(self):
         setup = JointSetup(make_state(math.pi / 2, 0.0), make_direction(0.0, 0.0), Coupling(1.0))
         law = joint_distribution(setup)
-        assert law.p_pp == pytest.approx(1.0, abs=1e-12)
-        for cell in (law.p_pm, law.p_mp, law.p_mm):
+        assert law[0] == pytest.approx(1.0, abs=1e-12)
+        for cell in law[1:]:
             assert cell == pytest.approx(0.0, abs=1e-12)
 
     def test_marginals(self, worked_setup):
@@ -237,10 +226,10 @@ class TestJointDistribution:
             law = joint_distribution(setup)
             p_m = meter_probabilities(setup)
             p_b = b_probabilities(setup)
-            assert law.meter_marginal().p_plus == pytest.approx(p_m.p_plus, abs=1e-12)
-            assert law.meter_marginal().p_minus == pytest.approx(p_m.p_minus, abs=1e-12)
-            assert law.b_marginal().p_plus == pytest.approx(p_b.p_plus, abs=1e-12)
-            assert law.b_marginal().p_minus == pytest.approx(p_b.p_minus, abs=1e-12)
+            assert meter_law(law)[0] == pytest.approx(p_m[0], abs=1e-12)
+            assert meter_law(law)[1] == pytest.approx(p_m[1], abs=1e-12)
+            assert b_law(law)[0] == pytest.approx(p_b[0], abs=1e-12)
+            assert b_law(law)[1] == pytest.approx(p_b[1], abs=1e-12)
 
 
 class TestOracleEquivalence:
@@ -248,13 +237,13 @@ class TestOracleEquivalence:
         for setup in random_setups(1000, seed=61):
             ref = oracle.simulate(setup)
             p_m = meter_probabilities(setup)
-            assert p_m.p_plus == pytest.approx(ref.meter_probs[0], abs=1e-10)
-            assert p_m.p_minus == pytest.approx(ref.meter_probs[1], abs=1e-10)
+            assert p_m[0] == pytest.approx(ref.meter_probs[0], abs=1e-10)
+            assert p_m[1] == pytest.approx(ref.meter_probs[1], abs=1e-10)
             p_b = b_probabilities(setup)
-            assert p_b.p_plus == pytest.approx(ref.b_probs[0], abs=1e-10)
-            assert p_b.p_minus == pytest.approx(ref.b_probs[1], abs=1e-10)
+            assert p_b[0] == pytest.approx(ref.b_probs[0], abs=1e-10)
+            assert p_b[1] == pytest.approx(ref.b_probs[1], abs=1e-10)
             np.testing.assert_allclose(
-                post_measurement_density(setup).entries, ref.density, atol=1e-10
+                post_measurement_density(setup), ref.density, atol=1e-10
             )
             law = joint_distribution(setup)
             for m in (+1, -1):

@@ -42,7 +42,7 @@ def reference_uniform(seed, index):
 
 
 def cumulative_law(setup):
-    cum = np.cumsum(joint_distribution(setup).as_array())
+    cum = np.cumsum(joint_distribution(setup))
     cum[-1] = 1.0
     return cum
 
@@ -98,7 +98,7 @@ class TestSample:
             assert sample(worked_setup, 100_001, seed=13, workers=workers).counts == serial.counts
 
     def test_empirical_frequencies_converge(self, worked_setup):
-        law = joint_distribution(worked_setup).as_array()
+        law = joint_distribution(worked_setup)
         n = 1_000_000
         failures = 0
         for seed in range(30):
@@ -174,7 +174,7 @@ class TestEstimate:
             make_state(math.pi / 6, 0.0), make_direction(0.0, 0.0), Coupling(math.sqrt(0.8))
         )
         law = joint_distribution(setup)
-        np.testing.assert_allclose(law.as_array(), [0.2, 0.15, 0.05, 0.6], atol=1e-12)
+        np.testing.assert_allclose(law, [0.2, 0.15, 0.05, 0.6], atol=1e-12)
         batch = TrialBatch(counts=(20, 15, 5, 60), trials=100, seed=0)
         stats = estimate(batch, estimator_weights(setup))
         assert stats.est_A == pytest.approx(-0.5, abs=1e-12)
@@ -316,7 +316,7 @@ class TestCrbCheck:
         from seqmeas.montecarlo import _affine_variance
 
         w_a, _ = estimator_weights(worked_setup)
-        law = joint_distribution(worked_setup).as_array()
+        law = joint_distribution(worked_setup)
         n = 12345
         assert _affine_variance(w_a, law, n) == pytest.approx(report_free_crb(worked_setup, n), rel=1e-12)
 

@@ -22,9 +22,11 @@ from seqmeas.coupling import (  # noqa: E402
     JOINT_CELLS,
     Coupling,
     JointSetup,
+    b_law,
     b_probabilities,
     joint_distribution,
     joint_law,
+    meter_law,
     meter_probabilities,
     post_measurement_density,
 )
@@ -66,7 +68,7 @@ def test_counts_do_not_depend_on_the_sharding(setup, trials, workers, seed):
 def test_correction_inverts_the_exact_laws(setup):
     # the unbiasedness condition: each weight vector maps the exact law to its expectation
     w_a, w_b = estimator_weights(setup)
-    law = joint_distribution(setup).as_array()
+    law = joint_distribution(setup)
     assert w_a @ law == pytest.approx(-math.cos(2.0 * setup.state.alpha), abs=1e-10)
     born_plus = born_probability(setup.state, setup.b_dir, +1)
     assert w_b @ law == pytest.approx(2.0 * born_plus - 1.0, abs=1e-10)
@@ -79,13 +81,12 @@ def test_closed_forms_match_the_oracle(setup):
     law = joint_distribution(setup)
     for m in (1, -1):
         for b in (1, -1):
-            p = law.as_array()[JOINT_CELLS.index((m, b))]
+            p = law[JOINT_CELLS.index((m, b))]
             assert p == pytest.approx(ref.joint[(m, b)], abs=1e-10)
     p_m, p_b = meter_probabilities(setup), b_probabilities(setup)
-    assert (p_m.p_plus, p_m.p_minus) == pytest.approx(ref.meter_probs, abs=1e-10)
-    assert (p_b.p_plus, p_b.p_minus) == pytest.approx(ref.b_probs, abs=1e-10)
-    np.testing.assert_allclose(post_measurement_density(setup).entries, ref.density,
-                               rtol=0, atol=1e-10)
+    assert p_m == pytest.approx(ref.meter_probs, abs=1e-10)
+    assert p_b == pytest.approx(ref.b_probs, abs=1e-10)
+    np.testing.assert_allclose(post_measurement_density(setup), ref.density, rtol=0, atol=1e-10)
 
 
 @PROPERTY
@@ -93,13 +94,50 @@ def test_closed_forms_match_the_oracle(setup):
     setup=setups(st.just(GAMMA_MIN)),
     gammas=st.lists(st.floats(GAMMA_MIN, 1.0), min_size=1, max_size=20),
 )
-def test_the_array_law_equals_the_validated_one_element_laws(setup, gammas):
-    # every cell of the sweep kernel is the cell JointDistribution validates, bit for bit
+def test_the_array_law_equals_the_one_element_laws(setup, gammas):
+    # every cell of the sweep kernel is the cell of the one-scenario law, bit for bit
     cells = joint_law(setup.state, setup.b_dir, np.array(gammas))
     assert cells.shape == (4, len(gammas))
     for k, gamma in enumerate(gammas):
         law = joint_distribution(JointSetup(setup.state, setup.b_dir, Coupling(gamma)))
-        assert cells[:, k].tobytes() == law.as_array().tobytes()
+        assert cells[:, k].tobytes() == law.tobytes()
+
+
+# the closed coupling range, with both endpoints drawn as well
+closed_gammas = st.floats(GAMMA_MIN, 1.0) | st.sampled_from([GAMMA_MIN, 1.0])
+
+
+def assert_is_a_law(law):
+    """Cells along the first axis lie in [0, 1] and sum to 1, and so do both marginals."""
+    assert np.all((law >= 0.0) & (law <= 1.0))
+    np.testing.assert_allclose(law.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+    for p_plus, p_minus in (meter_law(law), b_law(law)):
+        np.testing.assert_allclose(p_plus + p_minus, 1.0, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(setup=setups(closed_gammas))
+def test_the_joint_law_and_its_marginals_are_laws(setup):
+    assert_is_a_law(joint_distribution(setup))
+
+
+@PROPERTY
+@given(
+    setup=setups(st.just(GAMMA_MIN)),
+    gammas=st.lists(closed_gammas, min_size=1, max_size=20),
+)
+def test_the_array_law_and_its_marginals_are_laws(setup, gammas):
+    assert_is_a_law(joint_law(setup.state, setup.b_dir, np.array(gammas)))
+
+
+@PROPERTY
+@given(setup=setups(closed_gammas))
+def test_the_post_measurement_state_is_a_density_matrix(setup):
+    rho = post_measurement_density(setup)
+    assert rho.shape == (2, 2)
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+    assert abs(np.trace(rho).real - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
 
 cells = st.one_of(
