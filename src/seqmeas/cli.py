@@ -36,7 +36,6 @@ from .correction import ZNZD_TOL, ZnzdClass, check_tol, estimator_weights, is_zn
 from .coupling import (
     Coupling,
     JointSetup,
-    angular_factors,
     b_law,
     decompose,
     joint_distribution,
@@ -46,8 +45,8 @@ from .coupling import (
 from .errors import SeqmeasError
 from .fisher import tradeoff_curve
 from .montecarlo import _MASK64, _z_score, estimate, sample
-from .qubit import (ObservableDirection, PureState, _require_finite, a_direction, expectation,
-                    make_direction, make_state)
+from .qubit import (ObservableDirection, PureState, _require_finite, a_direction, angular_factors,
+                    expectation, make_direction, make_state)
 from .verify import DEFAULT_SCENARIO, run_verification
 
 SEED_ENV_VAR = "SEQMEAS_SEED"

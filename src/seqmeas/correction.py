@@ -21,9 +21,9 @@ import math
 
 import numpy as np
 
-from .coupling import Coupling, JointSetup, angular_factors
+from .coupling import Coupling, JointSetup
 from .errors import DegenerateCoupling, InvalidParameter
-from .qubit import ObservableDirection, PureState
+from .qubit import ObservableDirection, PureState, angular_factors
 
 # Couplings with kappa or deco below this are treated as degenerate rather
 # than allowed to amplify noise without bound.

@@ -7,13 +7,17 @@ strength ``kappa = 2 gamma**2 - 1``; the surviving fraction of the signal's
 off-diagonal coherence is ``deco = 2 gamma gamma_bar``.  The two derived
 quantities satisfy ``kappa**2 + deco**2 = 1`` identically.
 
-A subsequent projective measurement of ``sigma . n`` on the partially
-decohered signal sees probabilities that split into a coupling-independent
-part (populations only) and a coherent part diminished by ``deco``.  This
-module provides the entangled state, the exact joint law of the two
-sequential outcomes as an array of four cells (the primitive: sampling draws
-from it, and :func:`meter_law` and :func:`b_law` sum it into the marginal
-laws), the reduced density matrix as a 2x2 array and that decomposition.
+In the Bloch terms ``<sigma_z>``, ``n_z`` and t of :func:`~seqmeas.qubit.bloch_terms`,
+the joint law of the meter outcome m and the second outcome b is affine::
+
+    p(m, b) = (1 + m kappa <sigma_z> + b (m kappa n_z + <sigma_z> n_z + deco t)) / 4
+
+Summed over m, it leaves a coupling-independent part (populations only) and the
+coherent part ``deco t``, which a projective pre-measurement (deco = 0) erases.
+This module provides the entangled state, the joint law as an array of four cells
+(the primitive: sampling draws from it, and :func:`meter_law` and :func:`b_law`
+sum it into the marginal laws), the reduced density matrix as a 2x2 array and
+that decomposition.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .qubit import ObservableDirection, PureState
+from .qubit import ObservableDirection, PureState, bloch_terms
 
 GAMMA_MIN = 1.0 / math.sqrt(2.0)
 
@@ -116,7 +120,7 @@ def entangled_state(setup: JointSetup) -> np.ndarray:
 
 
 def meter_probabilities(setup: JointSetup) -> tuple[float, float]:
-    """Outcome law of the meter readout: ``p(+1) = kappa sin^2 a + gamma_bar^2``."""
+    """Outcome law of the meter readout: ``p(m) = (1 + m kappa <sigma_z>) / 2``."""
     return meter_law(joint_distribution(setup))
 
 
@@ -128,29 +132,17 @@ def post_measurement_density(setup: JointSetup) -> np.ndarray:
     return np.array([[sa * sa, off], [off.conjugate(), ca * ca]], dtype=complex)
 
 
-def angular_factors(state: PureState, direction: ObservableDirection) -> tuple[float, float, float]:
-    """``sin(2 alpha)``, ``sin(theta)`` and ``cos(varphi - phi)``: the coherent term's angles."""
-    return (math.sin(2.0 * state.alpha), math.sin(direction.theta),
-            math.cos(direction.varphi - state.phi))
-
-
-def _coherent(gamma, gamma_bar, state: PureState, direction: ObservableDirection):
-    """The coherent term ``gamma gamma_bar sin(2 alpha) sin(theta) cos(varphi - phi)``."""
-    sin_two_alpha, sin_theta, cos_delta = angular_factors(state, direction)
-    return gamma * gamma_bar * sin_two_alpha * sin_theta * cos_delta
-
-
 def decompose(setup: JointSetup) -> tuple[float, float]:
-    """Coupling-independent (the b law at gamma = 1) and coherent parts of p(b = +1), in order."""
-    st, d, c = setup.state, setup.b_dir, setup.coupling
-    return b_law(joint_law(st, d, 1.0))[0], _coherent(c.gamma, c.gamma_bar, st, d)
+    """Parts of p(b=+1): coupling-independent ``(1 + <sigma_z> n_z)/2``, coherent ``deco t/2``."""
+    sigma_z, n_z, t = bloch_terms(setup.state, setup.b_dir)
+    return 0.5 * (1.0 + sigma_z * n_z), 0.5 * setup.coupling.deco * t
 
 
 def b_probabilities(setup: JointSetup) -> tuple[float, float]:
     """Outcome law of the second measurement on the decohered signal.
 
-    ``p(+1) = (1 - deco) n + deco <+|state>|^2`` with n the population-only
-    part; equals tr(rho Pi) for the post-measurement density matrix.
+    ``p(b) = (1 + b (<sigma_z> n_z + deco t)) / 2``; equals tr(rho Pi_b) for the
+    post-measurement density matrix.
     """
     return b_law(joint_distribution(setup))
 
@@ -158,23 +150,15 @@ def b_probabilities(setup: JointSetup) -> tuple[float, float]:
 def joint_law(state: PureState, direction: ObservableDirection, gamma) -> np.ndarray:
     """Cells of the joint law of (m, b), shape ``(4,) + shape(gamma)``, for one or many gamma.
 
-    Each cell is ``|<b | branch_m>|^2`` on the unnormalized signal branch of
-    meter outcome m (standard collapse rule, which also covers branches of
-    zero norm): the branch populations weighted by the half-angle overlaps of
-    the b eigenvector, plus or minus the interference term ``x``, half the
-    coherent coefficient of :func:`decompose`.  :func:`meter_law` and
-    :func:`b_law` sum these cells into the two marginal laws.
+    Cell (m, b) is ``(1 + m kappa <sigma_z> + b (m kappa n_z + <sigma_z> n_z +
+    deco t)) / 4``, in the order of :data:`JOINT_CELLS`.  :func:`meter_law`
+    and :func:`b_law` sum these cells into the two marginal laws.
     """
-    gamma_bar = coupling_factors(gamma)[0]
-    s2, c2 = math.sin(state.alpha) ** 2, math.cos(state.alpha) ** 2
-    ch, sh = math.cos(0.5 * direction.theta) ** 2, math.sin(0.5 * direction.theta) ** 2
-    g2, gb2 = gamma * gamma, gamma_bar * gamma_bar
-    x = 0.5 * _coherent(gamma, gamma_bar, state, direction)
+    _, kappa, deco = coupling_factors(gamma)
+    sigma_z, n_z, t = bloch_terms(state, direction)
     return np.clip(np.stack([
-        g2 * s2 * ch + gb2 * c2 * sh + x,
-        g2 * s2 * sh + gb2 * c2 * ch - x,
-        gb2 * s2 * ch + g2 * c2 * sh + x,
-        gb2 * s2 * sh + g2 * c2 * ch - x,
+        0.25 * (1.0 + m * kappa * sigma_z + b * (m * kappa * n_z + sigma_z * n_z + deco * t))
+        for m, b in JOINT_CELLS
     ]), 0.0, 1.0)
 
 

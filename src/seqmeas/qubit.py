@@ -4,11 +4,14 @@ Conventions used throughout the package:
 
 * The signal state is the pure qubit ``sin(alpha)|0> + cos(alpha) e^{i phi}|1>``.
   A global phase is fixed so that the |0> amplitude is real and non-negative.
-* An observable is a unit Bloch direction ``n = (sin t cos v, sin t sin v, cos t)``
-  standing for ``sigma . n``.  Its +1 eigenvector is
-  ``cos(t/2)|0> + e^{iv} sin(t/2)|1>``; the -1 eigenvector is the orthogonal
-  ``sin(t/2)|0> - e^{iv} cos(t/2)|1>``.  The first (weakly measured) observable
-  is the ``theta = 0`` instance, i.e. sigma_z with |0> <-> +1 and |1> <-> -1.
+  Its Bloch vector is ``(sin 2alpha cos phi, sin 2alpha sin phi, -cos 2alpha)``.
+* An observable is a unit Bloch direction
+  ``n = (sin theta cos varphi, sin theta sin varphi, cos theta)`` standing for
+  ``sigma . n``, so ``<sigma . n> = <sigma_z> n_z + t`` with the transverse term
+  ``t = sin 2alpha sin theta cos(varphi - phi)`` (:func:`bloch_terms`).  The
+  first (weakly measured) observable is the ``theta = 0`` instance, i.e.
+  sigma_z with |0> <-> +1 and |1> <-> -1.  The +1/-1 labels of ``sigma . n``
+  are its eigenvalues, as the oracle's eigenprojectors take them.
 * Outcomes are labelled +1/-1 everywhere, never 0/1.
 
 Angles are accepted anywhere on the real line and reduced to canonical ranges;
@@ -81,16 +84,6 @@ class ObservableDirection:
         nx, ny, nz = self.n_vec
         return nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z
 
-    def ket(self, sign: int) -> np.ndarray:
-        """Eigenvector of ``sigma . n`` with eigenvalue ``sign`` (+1 or -1)."""
-        half = 0.5 * self.theta
-        phase = complex(math.cos(self.varphi), math.sin(self.varphi))
-        if sign == +1:
-            return np.array([math.cos(half), phase * math.sin(half)], dtype=complex)
-        if sign == -1:
-            return np.array([math.sin(half), -phase * math.cos(half)], dtype=complex)
-        raise InvalidParameter(f"sign must be +1 or -1, got {sign!r}")
-
 
 def make_state(alpha: float, phi: float) -> PureState:
     """Build the signal state, reducing angles to their canonical ranges.
@@ -123,13 +116,32 @@ def a_direction() -> ObservableDirection:
     return ObservableDirection(theta=0.0, varphi=0.0)
 
 
+def angular_factors(state: PureState, direction: ObservableDirection) -> tuple[float, float, float]:
+    """``sin(2 alpha)``, ``sin(theta)`` and ``cos(varphi - phi)``: the transverse term's angles."""
+    return (math.sin(2.0 * state.alpha), math.sin(direction.theta),
+            math.cos(direction.varphi - state.phi))
+
+
+def bloch_terms(state: PureState, direction: ObservableDirection) -> tuple[float, float, float]:
+    """``(<sigma_z>, n_z, t)``, the terms of ``<sigma . n> = <sigma_z> n_z + t``.
+
+    ``<sigma_z> = -cos(2 alpha)`` and ``n_z = cos(theta)``; the transverse term
+    ``t = sin(2 alpha) sin(theta) cos(varphi - phi)`` is the only one that reads
+    the state's coherence.
+    """
+    sin_two_alpha, sin_theta, cos_delta = angular_factors(state, direction)
+    return (-math.cos(2.0 * state.alpha), math.cos(direction.theta),
+            sin_two_alpha * sin_theta * cos_delta)
+
+
 def born_probability(state: PureState, direction: ObservableDirection, sign: int) -> float:
-    """Probability of outcome ``sign`` when measuring ``sigma . n`` on the state."""
-    amp = np.vdot(direction.ket(sign), state.vector())
-    p = float((amp * amp.conjugate()).real)
-    return min(1.0, max(0.0, p))
+    """Probability ``(1 + sign <sigma . n>) / 2`` of outcome ``sign`` (+1 or -1) on the state."""
+    if sign not in (+1, -1):
+        raise InvalidParameter(f"sign must be +1 or -1, got {sign!r}")
+    return min(1.0, max(0.0, 0.5 * (1.0 + sign * expectation(state, direction))))
 
 
 def expectation(state: PureState, direction: ObservableDirection) -> float:
-    """Expectation value of ``sigma . n`` on the state, as p(+1) - p(-1)."""
-    return born_probability(state, direction, +1) - born_probability(state, direction, -1)
+    """Expectation value ``<sigma_z> n_z + t`` of ``sigma . n`` on the state."""
+    sigma_z, n_z, t = bloch_terms(state, direction)
+    return sigma_z * n_z + t

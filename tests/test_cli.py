@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import random
@@ -388,6 +390,32 @@ class TestVerify:
         assert code == 1
         suites = {suite["name"]: suite for suite in strict_json(out)["suites"]}
         assert suites["cramer_rao"]["passed"] is False
+
+    def test_csv_report_holds_the_flattened_json_report(self, capsys):
+        # same keys in the same order, the same 9-digit numbers, booleans as true/false
+        argv = ["verify", "--seed", "42", "--verify-trials", "20000", "--verify-repeats", "5"]
+        json_code, json_out, _ = run(capsys, argv)
+        csv_code, csv_out, _ = run(capsys, [*argv, "--format", "csv"])
+        assert json_code == csv_code
+
+        def flatten(value, key):
+            if isinstance(value, (dict, list)):
+                items = value.items() if isinstance(value, dict) else enumerate(value)
+                return [pair for k, v in items for pair in flatten(v, f"{key}{k}.")]
+            return [(key[:-1], value)]
+
+        expected = flatten(strict_json(json_out), "")
+        header, *rows = csv.reader(io.StringIO(csv_out))
+        assert header == ["key", "value"]
+        assert len(expected) == 32
+        assert [key for key, _ in rows] == [key for key, _ in expected]
+        for (key, text), (_, value) in zip(rows, expected):
+            if isinstance(value, bool):
+                assert text == ("true" if value else "false"), key
+            elif isinstance(value, (int, float)):
+                assert float(text) == value, key
+            else:
+                assert text == value, key
 
     def test_one_repeat_is_a_usage_error(self, capsys):
         # one estimate per suite has no spread, so its z-scores and ratios are undefined

@@ -162,8 +162,7 @@ class TestBProbabilities:
     def test_equals_trace_with_projector(self):
         for setup in random_setups(300, seed=47):
             rho = post_measurement_density(setup)
-            ket = setup.b_dir.ket(+1)
-            pi_plus = np.outer(ket, ket.conj())
+            pi_plus = oracle.eigenprojectors(setup.b_dir)[+1]
             p = b_probabilities(setup)
             assert p[0] == pytest.approx(np.trace(rho @ pi_plus).real, abs=1e-12)
 

@@ -31,7 +31,13 @@ from seqmeas.coupling import (  # noqa: E402
     post_measurement_density,
 )
 from seqmeas.montecarlo import sample  # noqa: E402
-from seqmeas.qubit import born_probability, make_direction, make_state  # noqa: E402
+from seqmeas.qubit import (  # noqa: E402
+    a_direction,
+    born_probability,
+    expectation,
+    make_direction,
+    make_state,
+)
 from seqmeas.verify import RANDOM_GAMMA_RANGE  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -87,6 +93,13 @@ def test_closed_forms_match_the_oracle(setup):
     assert p_m == pytest.approx(ref.meter_probs, abs=1e-10)
     assert p_b == pytest.approx(ref.b_probs, abs=1e-10)
     np.testing.assert_allclose(post_measurement_density(setup), ref.density, rtol=0, atol=1e-10)
+    # the uncoupled Bloch-form laws against the eigenprojectors of sigma . n
+    vector = setup.state.vector()
+    for direction in (a_direction(), setup.b_dir):
+        p_plus, p_minus = (oracle.born_probability(vector, direction, sign) for sign in (1, -1))
+        assert expectation(setup.state, direction) == pytest.approx(p_plus - p_minus, abs=1e-10)
+        assert born_probability(setup.state, direction, 1) == pytest.approx(p_plus, abs=1e-10)
+        assert born_probability(setup.state, direction, -1) == pytest.approx(p_minus, abs=1e-10)
 
 
 @PROPERTY

@@ -101,54 +101,6 @@ class TestMakeDirection:
         make_direction(math.pi, 1.0)
 
 
-def ket_outer(direction, sign):
-    """``|k><k|`` for the ``sign`` eigenvector ``k`` of ``sigma . n``, built from ``ket``."""
-    ket = direction.ket(sign)
-    return np.outer(ket, ket.conj())
-
-
-class TestProjector:
-    def test_z_basis(self):
-        np.testing.assert_allclose(
-            ket_outer(make_direction(0.0, 0.0), +1), np.diag([1.0, 0.0]), atol=1e-12
-        )
-
-    def test_x_plus(self):
-        np.testing.assert_allclose(
-            ket_outer(make_direction(math.pi / 2, 0.0), +1),
-            np.full((2, 2), 0.5),
-            atol=1e-12,
-        )
-
-    def test_theta_pi_third(self):
-        # eigendecomposition oracle for sigma.n gives the same matrix
-        expected = np.array([[0.75, SQRT3_4], [SQRT3_4, 0.25]])
-        np.testing.assert_allclose(
-            ket_outer(make_direction(math.pi / 3, 0.0), +1), expected, atol=1e-12
-        )
-
-    def test_matches_eigendecomposition(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            d = make_direction(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            vals, vecs = np.linalg.eigh(d.matrix())
-            for sign, col in ((-1, 0), (+1, 1)):
-                oracle = np.outer(vecs[:, col], vecs[:, col].conj())
-                np.testing.assert_allclose(ket_outer(d, sign), oracle, atol=1e-12)
-
-    def test_completeness_idempotence(self):
-        for alpha, phi, theta, varphi in random_angles(1000, 5):
-            d = make_direction(theta, varphi)
-            plus, minus = ket_outer(d, +1), ket_outer(d, -1)
-            np.testing.assert_allclose(plus + minus, np.eye(2), atol=1e-12)
-            np.testing.assert_allclose(plus @ plus, plus, atol=1e-12)
-            assert np.trace(plus).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_bad_sign(self):
-        with pytest.raises(InvalidParameter):
-            make_direction(0.0, 0.0).ket(0)
-
-
 class TestBornAndExpectation:
     def test_worked_values(self):
         state = make_state(math.pi / 6, 0.0)
@@ -159,6 +111,10 @@ class TestBornAndExpectation:
             0.75, abs=1e-9
         )
         assert born_probability(make_state(math.pi / 2, 0.0), make_direction(0.0, 0.0), +1) == 1.0
+
+    def test_bad_sign(self):
+        with pytest.raises(InvalidParameter):
+            born_probability(make_state(0.4, 0.9), make_direction(0.0, 0.0), 0)
 
     def test_expectation_values(self):
         state = make_state(math.pi / 6, 0.0)
