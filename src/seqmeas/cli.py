@@ -32,6 +32,8 @@ from dataclasses import asdict
 from functools import partial
 from typing import TextIO
 
+import numpy as np
+
 from .correction import ZNZD_TOL, ZnzdClass, check_tol, estimator_weights, is_znzd
 from .coupling import (
     Coupling,
@@ -73,6 +75,8 @@ def _fmt9(x: float) -> str:
 
 
 def _jsonify(value):
+    if isinstance(value, np.generic):  # a numpy bool, integer or float prints as the Python one
+        value = value.item()
     if isinstance(value, float):
         return _round9(value) if math.isfinite(value) else None
     if isinstance(value, dict):
@@ -94,6 +98,8 @@ def _flatten(value, prefix=""):
 
 
 def _csv_cell(value) -> str:
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -115,7 +121,13 @@ def _render_report(report: dict, fmt: str) -> str:
 
 
 def _json_cell(value: float) -> str:
-    return repr(_round9(value)) if math.isfinite(value) else "null"
+    """``repr(_round9(value))``, or ``null`` when not finite, without parsing the text back."""
+    if not math.isfinite(value):
+        return "null"
+    text = _fmt9(value)
+    if "e" in text:  # repr writes exponents only outside [1e-4, 1e16): let it decide
+        return repr(float(text))
+    return text if "." in text else text + ".0"
 
 
 def _render_rows(columns: list[str], rows: list[tuple], fmt: str) -> str:

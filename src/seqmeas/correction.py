@@ -17,11 +17,10 @@ that interval.
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 
-from .coupling import Coupling, JointSetup
+from .coupling import JOINT_CELLS, Coupling, JointSetup
 from .errors import DegenerateCoupling, InvalidParameter
 from .qubit import ObservableDirection, PureState, angular_factors
 
@@ -43,7 +42,7 @@ class ZnzdClass(enum.Enum):
 
 def ensure_informative(c: Coupling) -> None:
     """Refuse couplings whose meter record carries no information (kappa = 0)."""
-    if c.kappa < DEGENERACY_TOL:
+    if np.any(c.kappa < DEGENERACY_TOL):
         raise DegenerateCoupling(
             "kappa = 0: the meter record carries no information about the "
             "first observable (A channel)"
@@ -52,7 +51,7 @@ def ensure_informative(c: Coupling) -> None:
 
 def ensure_nonprojective(c: Coupling) -> None:
     """Refuse projective couplings; they destroy the coherent part (deco = 0)."""
-    if c.deco < DEGENERACY_TOL:
+    if np.any(c.deco < DEGENERACY_TOL):
         raise DegenerateCoupling(
             "projective pre-measurement (deco = 0): the coherent part needed "
             "to correct the second observable is destroyed (B channel)"
@@ -67,14 +66,17 @@ def estimator_weights(setup: JointSetup) -> tuple[np.ndarray, np.ndarray]:
     coupling-independent part, which the meter record gives as
     ``(1 - deco) cos(theta) w_A . f``, and divides the coherent remainder by
     ``deco``.  ``f`` holds the joint cell frequencies in the order of
-    :data:`JOINT_CELLS`.
+    :data:`JOINT_CELLS`; for a stack of scenarios the weights, like the
+    cells, run along the first axis.
     """
     c = setup.coupling
     ensure_informative(c)
     ensure_nonprojective(c)
-    w_a = np.array([1.0, 1.0, -1.0, -1.0]) / c.kappa
-    population_part = (1.0 - c.deco) * math.cos(setup.b_dir.theta) * w_a
-    return w_a, (np.array([1.0, -1.0, 1.0, -1.0]) - population_part) / c.deco
+    # the signs of m and of b per cell, broadcast over a stack of scenarios
+    m_sign, b_sign = np.reshape(np.transpose(JOINT_CELLS), (2, 4) + (1,) * np.ndim(c.kappa))
+    w_a = m_sign / c.kappa
+    population_part = (1.0 - c.deco) * np.cos(setup.b_dir.theta) * w_a
+    return w_a, (b_sign - population_part) / c.deco
 
 
 def check_tol(tol: float) -> float:

@@ -49,7 +49,8 @@ class Coupling:
     """Coupling amplitude with its derived strength and coherence factors.
 
     ``deco`` is stored once at construction rather than recomputed, keeping
-    the identity ``kappa**2 + deco**2 = 1`` numerically tight.
+    the identity ``kappa**2 + deco**2 = 1`` numerically tight.  One amplitude
+    gives float fields; an array of them (a stack of scenarios) gives arrays.
     """
 
     gamma: float
@@ -57,18 +58,18 @@ class Coupling:
     kappa: float
     deco: float
 
-    def __init__(self, gamma: float) -> None:
-        gamma = float(gamma)
-        if not math.isfinite(gamma):
-            raise InvalidParameter(f"gamma must be finite, got {gamma!r}")
-        if gamma < GAMMA_MIN - _GAMMA_SLACK or gamma > 1.0 + _GAMMA_SLACK:
+    def __init__(self, gamma) -> None:
+        gamma = np.asarray(gamma, dtype=float)
+        if not np.isfinite(gamma).all():
+            raise InvalidParameter(f"gamma must be finite, got {gamma.tolist()!r}")
+        if ((gamma < GAMMA_MIN - _GAMMA_SLACK) | (gamma > 1.0 + _GAMMA_SLACK)).any():
             raise InvalidParameter(
-                f"gamma must lie in [1/sqrt(2), 1], got {gamma!r}"
+                f"gamma must lie in [1/sqrt(2), 1], got {gamma.tolist()!r}"
             )
-        gamma = min(1.0, max(GAMMA_MIN, gamma))
-        object.__setattr__(self, "gamma", gamma)
-        for name, value in zip(("gamma_bar", "kappa", "deco"), coupling_factors(gamma)):
-            object.__setattr__(self, name, float(value))
+        gamma = np.clip(gamma, GAMMA_MIN, 1.0)
+        for name, value in zip(("gamma", "gamma_bar", "kappa", "deco"),
+                               (gamma, *coupling_factors(gamma))):
+            object.__setattr__(self, name, value if value.ndim else float(value))
 
     @staticmethod
     def from_kappa(kappa: float) -> "Coupling":
@@ -109,7 +110,8 @@ def entangled_state(setup: JointSetup) -> np.ndarray:
 
     Basis labels are |signal, meter>; the meter branch |0>_m carries signal
     amplitudes (gamma sin a, gamma_bar cos a e^{i phi}) and the |1>_m branch
-    the same pair with gamma and gamma_bar exchanged.
+    the same pair with gamma and gamma_bar exchanged.  For a stack of
+    scenarios the amplitudes run along the first axis.
     """
     amp0, amp1 = setup.state.amplitudes
     c = setup.coupling
@@ -125,11 +127,15 @@ def meter_probabilities(setup: JointSetup) -> tuple[float, float]:
 
 
 def post_measurement_density(setup: JointSetup) -> np.ndarray:
-    """Signal 2x2 density matrix after the meter readout, with coherences scaled by ``deco``."""
+    """Signal 2x2 density matrix after the meter readout, with coherences scaled by ``deco``.
+
+    Shape ``shape(alpha) + (2, 2)``: one matrix per scenario of a stack.
+    """
     st = setup.state
-    sa, ca = math.sin(st.alpha), math.cos(st.alpha)
-    off = setup.coupling.deco * sa * ca * complex(math.cos(st.phi), -math.sin(st.phi))
-    return np.array([[sa * sa, off], [off.conjugate(), ca * ca]], dtype=complex)
+    sa, ca = np.sin(st.alpha), np.cos(st.alpha)
+    off = setup.coupling.deco * sa * ca * (np.cos(st.phi) - 1j * np.sin(st.phi))
+    rho = np.stack([sa * sa, off, np.conj(off), ca * ca], axis=-1)
+    return rho.reshape(np.shape(off) + (2, 2))
 
 
 def decompose(setup: JointSetup) -> tuple[float, float]:
@@ -148,7 +154,10 @@ def b_probabilities(setup: JointSetup) -> tuple[float, float]:
 
 
 def joint_law(state: PureState, direction: ObservableDirection, gamma) -> np.ndarray:
-    """Cells of the joint law of (m, b), shape ``(4,) + shape(gamma)``, for one or many gamma.
+    """Cells of the joint law of (m, b), along the first axis, for one or many scenarios.
+
+    The state's and the direction's angles and ``gamma`` may be arrays; the
+    cells then have shape ``(4,)`` plus their broadcast shape.
 
     Cell (m, b) is ``(1 + m kappa <sigma_z> + b (m kappa n_z + <sigma_z> n_z +
     deco t)) / 4``, in the order of :data:`JOINT_CELLS`.  :func:`meter_law`

@@ -15,6 +15,7 @@ gate; :mod:`seqmeas.verify` decides pass or fail.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -37,6 +38,29 @@ _STREAM = 0xD1B54A32D192ED03
 _CHUNK = 1 << 16
 
 
+@functools.cache
+def _trial_offsets() -> np.ndarray:
+    """``1 .. _CHUNK``: trial number + 1 of each trial of a chunk, counted from its start.
+
+    Read-only, since every thread shares it; made on the first sample call,
+    so that a run which samples nothing never pays for it.
+    """
+    offsets = np.arange(1, _CHUNK + 1, dtype=np.uint64)
+    offsets.flags.writeable = False
+    return offsets
+
+
+class _ChunkBuffers(threading.local):
+    """Each thread's two ``_CHUNK``-element uint64 buffers, allocated on its first
+    use and reused after it, so that repeated sample calls fault no new pages in."""
+
+    def __init__(self) -> None:
+        self.pair = (np.empty(_CHUNK, np.uint64), np.empty(_CHUNK, np.uint64))
+
+
+_THREAD_BUFFERS = _ChunkBuffers()
+
+
 def _mix64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, in place over uint64 ``z`` (returned); ``t`` is scratch."""
     for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
@@ -46,10 +70,19 @@ def _mix64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return z
 
 
-def trial_uniforms(seed: int, start: int, stop: int) -> np.ndarray:
-    """Uniform [0, 1) variates of trials ``start .. stop-1`` for this seed."""
-    z = np.arange(start + 1, stop + 1, dtype=np.uint64)
-    t = np.empty_like(z)
+def trial_uniforms(seed: int, start: int, stop: int, *, buffers=None) -> np.ndarray:
+    """Uniform [0, 1) variates of trials ``start .. stop-1`` for this seed.
+
+    With ``buffers``, a pair of ``_CHUNK``-element uint64 arrays, at most
+    ``_CHUNK`` trials are hashed in them instead of in two new arrays; the
+    result is then a view of the second, valid until they are passed again.
+    """
+    if buffers is None:
+        z = np.arange(start + 1, stop + 1, dtype=np.uint64)
+        t = np.empty_like(z)
+    else:
+        z, t = (buffer[:stop - start] for buffer in buffers)
+        np.add(_trial_offsets()[:stop - start], np.uint64(start), out=z)
     z *= np.uint64(_GOLDEN)
     z += np.uint64(seed & _MASK64)
     np.right_shift(_mix64(z, t), np.uint64(11), out=z)
@@ -98,8 +131,9 @@ class SampleStats:
 def _counts_for_range(cum: np.ndarray, seed: int, start: int, stop: int) -> np.ndarray:
     # trial i falls in a cell <= j exactly when u_i < cum[j] (cum is nondecreasing)
     below = np.zeros(3, dtype=np.int64)
+    buffers = _THREAD_BUFFERS.pair
     for lo in range(start, stop, _CHUNK):
-        u = trial_uniforms(seed, lo, min(lo + _CHUNK, stop))
+        u = trial_uniforms(seed, lo, min(lo + _CHUNK, stop), buffers=buffers)
         below += [np.count_nonzero(u < c) for c in cum[:3]]
     return np.diff(below, prepend=0, append=stop - start)
 

@@ -3,9 +3,12 @@
 Ground truth for the closed forms in :mod:`seqmeas.coupling`: build the full
 two-qubit state, project the meter, take the partial trace explicitly, and
 obtain the second observable's projectors by numerically diagonalizing
-``sigma . n``.  Deliberately shares no half-angle or decomposition formulas
-with the model modules; only the primitive entangled amplitudes are common,
-since they define the scenario.
+``sigma . n``.  :func:`simulate_stack` does this for a whole stack of
+scenarios at once, with the scenario index first on every array;
+:func:`simulate` is that stack at one scenario.  Stacked or not, the oracle
+deliberately shares no Bloch-form, coupling-factor or decomposition formula
+with the model modules; only the primitive state amplitudes and the Bloch
+direction are common, since they define the scenario.
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import JointSetup
-from .qubit import ObservableDirection
+from .coupling import JOINT_CELLS, JointSetup
+from .qubit import ObservableDirection, PureState
 
-_KET = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
+# sigma_x, sigma_y, sigma_z
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -31,54 +35,67 @@ class OracleResult:
     joint: dict[tuple[int, int], float]  # keyed (m, b)
 
 
+def _eigenvectors(theta, varphi) -> np.ndarray:
+    """Eigenvectors of each ``sigma . n``, shape (N, 2, 2): column 0 <-> -1, column 1 <-> +1."""
+    n = np.stack(ObservableDirection(theta, varphi).n_vec, axis=-1)
+    eigvals, eigvecs = np.linalg.eigh(np.einsum("nk,kij->nij", n, _PAULI))
+    # eigh returns ascending eigenvalues, which must be -1 and +1 for a unit direction
+    assert np.all(np.abs(eigvals - [-1.0, 1.0]) < 1e-9)
+    return eigvecs
+
+
 def eigenprojectors(direction: ObservableDirection) -> dict[int, np.ndarray]:
     """Projectors of ``sigma . n`` from its numerical eigendecomposition."""
-    eigvals, eigvecs = np.linalg.eigh(direction.matrix())
-    # eigh returns ascending eigenvalues: column 0 <-> -1, column 1 <-> +1
-    assert abs(eigvals[0] + 1.0) < 1e-9 and abs(eigvals[1] - 1.0) < 1e-9
+    eigvecs = _eigenvectors(np.array([direction.theta]), np.array([direction.varphi]))[0]
     return {
         -1: np.outer(eigvecs[:, 0], eigvecs[:, 0].conj()),
         +1: np.outer(eigvecs[:, 1], eigvecs[:, 1].conj()),
     }
 
 
+def simulate_stack(alpha, phi, theta, varphi, gamma) -> tuple[np.ndarray, ...]:
+    """Run the full tensor simulation of the N scenarios given as arrays of their parameters.
+
+    Returns ``(state, meter_probs, density, b_probs, joint)``: the (N, 4)
+    two-qubit states (meter index slow), the (N, 2) meter laws (m = +1, -1),
+    the (N, 2, 2) reduced signal density matrices, the (N, 2) laws of b
+    (b = +1, -1) and the (N, 4) joint laws in the order of ``JOINT_CELLS``.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    gamma_bar = np.sqrt(1.0 - gamma * gamma)
+    signal = np.stack(PureState(alpha, phi).amplitudes, axis=-1)
+
+    # |Psi> as a [meter, signal] table: the meter branch |0>_m (outcome +1)
+    # weighs the signal amplitudes by (gamma, gamma_bar), |1>_m (outcome -1)
+    # by (gamma_bar, gamma).
+    weights = np.stack([np.stack([gamma, gamma_bar], axis=-1),
+                        np.stack([gamma_bar, gamma], axis=-1)], axis=1)
+    table = weights * signal[:, np.newaxis, :]
+
+    # Meter projection reads off the branches; the partial trace sums over them.
+    meter_probs = np.einsum("nms,nms->nm", table, table.conj()).real
+    rho = np.einsum("nms,nmt->nst", table, table.conj())
+
+    # Amplitude of each eigenvector of sigma . n in each meter branch, and the
+    # projector expectations tr(rho Pi_b); eigenvalue columns reversed to (+1, -1).
+    eigvecs = _eigenvectors(theta, varphi)
+    overlaps = np.einsum("nsb,nms->nmb", eigvecs.conj(), table)[..., ::-1]
+    joint = (overlaps * overlaps.conj()).real.reshape(-1, 4)
+    b_probs = np.einsum("nsb,nst,ntb->nb", eigvecs.conj(), rho, eigvecs).real[:, ::-1]
+    return table.reshape(-1, 4), meter_probs, rho, b_probs, joint
+
+
 def simulate(setup: JointSetup) -> OracleResult:
-    """Run the full tensor simulation of one scenario."""
-    amp0, amp1 = setup.state.amplitudes
-    g, gb = setup.coupling.gamma, setup.coupling.gamma_bar
-
-    # |Psi> = branch_0 (x) |0>_m + branch_1 (x) |1>_m, composed via kron on
-    # the basis |signal, meter| with the meter index slow.
-    branch = {
-        +1: g * amp0 * _KET[0] + gb * amp1 * _KET[1],   # meter |0>_m, outcome +1
-        -1: gb * amp0 * _KET[0] + g * amp1 * _KET[1],   # meter |1>_m, outcome -1
-    }
-    psi = np.kron(_KET[0], branch[+1]) + np.kron(_KET[1], branch[-1])
-
-    # Meter projection: reshape to [meter, signal] and read off the branches.
-    table = psi.reshape(2, 2)
-    meter_probs = (
-        float(np.vdot(table[0], table[0]).real),
-        float(np.vdot(table[1], table[1]).real),
-    )
-
-    # Partial trace over the meter.
-    rho = np.einsum("ms,mt->st", table, table.conj())
-
-    projectors = eigenprojectors(setup.b_dir)
-    b_probs = (
-        float(np.trace(rho @ projectors[+1]).real),
-        float(np.trace(rho @ projectors[-1]).real),
-    )
-
-    joint = {}
-    for m_idx, m in ((0, +1), (1, -1)):
-        for b in (+1, -1):
-            projected = projectors[b] @ table[m_idx]
-            joint[(m, b)] = float(np.vdot(projected, projected).real)
-
+    """Run the full tensor simulation of one scenario: :func:`simulate_stack` at N = 1."""
+    state, direction = setup.state, setup.b_dir
+    parameters = (state.alpha, state.phi, direction.theta, direction.varphi, setup.coupling.gamma)
+    psi, meter_probs, rho, b_probs, joint = simulate_stack(*np.array(parameters)[:, np.newaxis])
     return OracleResult(
-        state=psi, meter_probs=meter_probs, density=rho, b_probs=b_probs, joint=joint
+        state=psi[0],
+        meter_probs=tuple(meter_probs[0].tolist()),
+        density=rho[0],
+        b_probs=tuple(b_probs[0].tolist()),
+        joint=dict(zip(JOINT_CELLS, joint[0].tolist())),
     )
 
 

@@ -15,7 +15,10 @@ Conventions used throughout the package:
 * Outcomes are labelled +1/-1 everywhere, never 0/1.
 
 Angles are accepted anywhere on the real line and reduced to canonical ranges;
-the reduction only ever changes an unobservable global phase.
+the reduction only ever changes an unobservable global phase.  A
+:class:`PureState` or :class:`ObservableDirection` built directly from arrays
+of in-range angles stands for a stack of scenarios, and the amplitudes, the
+Bloch direction and the Bloch terms are then arrays too.
 """
 
 from __future__ import annotations
@@ -28,10 +31,6 @@ import numpy as np
 from .errors import InvalidParameter
 
 TWO_PI = 2.0 * math.pi
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -60,8 +59,8 @@ class PureState:
     @property
     def amplitudes(self) -> tuple[complex, complex]:
         return (
-            complex(math.sin(self.alpha)),
-            math.cos(self.alpha) * complex(math.cos(self.phi), math.sin(self.phi)),
+            np.sin(self.alpha) + 0j,
+            np.cos(self.alpha) * (np.cos(self.phi) + 1j * np.sin(self.phi)),
         )
 
     def vector(self) -> np.ndarray:
@@ -77,12 +76,8 @@ class ObservableDirection:
 
     @property
     def n_vec(self) -> tuple[float, float, float]:
-        st = math.sin(self.theta)
-        return (st * math.cos(self.varphi), st * math.sin(self.varphi), math.cos(self.theta))
-
-    def matrix(self) -> np.ndarray:
-        nx, ny, nz = self.n_vec
-        return nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z
+        st = np.sin(self.theta)
+        return (st * np.cos(self.varphi), st * np.sin(self.varphi), np.cos(self.theta))
 
 
 def make_state(alpha: float, phi: float) -> PureState:
@@ -118,8 +113,8 @@ def a_direction() -> ObservableDirection:
 
 def angular_factors(state: PureState, direction: ObservableDirection) -> tuple[float, float, float]:
     """``sin(2 alpha)``, ``sin(theta)`` and ``cos(varphi - phi)``: the transverse term's angles."""
-    return (math.sin(2.0 * state.alpha), math.sin(direction.theta),
-            math.cos(direction.varphi - state.phi))
+    return (np.sin(2.0 * state.alpha), np.sin(direction.theta),
+            np.cos(direction.varphi - state.phi))
 
 
 def bloch_terms(state: PureState, direction: ObservableDirection) -> tuple[float, float, float]:
@@ -130,7 +125,7 @@ def bloch_terms(state: PureState, direction: ObservableDirection) -> tuple[float
     the state's coherence.
     """
     sin_two_alpha, sin_theta, cos_delta = angular_factors(state, direction)
-    return (-math.cos(2.0 * state.alpha), math.cos(direction.theta),
+    return (-np.cos(2.0 * state.alpha), np.cos(direction.theta),
             sin_two_alpha * sin_theta * cos_delta)
 
 

@@ -23,7 +23,6 @@ from .correction import (
 )
 from .coupling import (
     GAMMA_MIN,
-    JOINT_CELLS,
     Coupling,
     JointSetup,
     b_law,
@@ -35,7 +34,8 @@ from .coupling import (
 )
 from .errors import DegenerateCoupling
 from .montecarlo import crb_check, unbiasedness_check
-from .qubit import a_direction, expectation, make_direction, make_state
+from .qubit import (ObservableDirection, PureState, a_direction, expectation, make_direction,
+                    make_state)
 
 # Coupling range for randomized oracle comparisons; strictly inside the domain
 # so that the correction round trip is well defined on the same draws.
@@ -77,31 +77,50 @@ def default_setup() -> JointSetup:
     return JointSetup(make_state(alpha, phi), make_direction(theta, varphi), Coupling(gamma))
 
 
+def random_scenarios(count: int, seed: int, gamma_range=RANDOM_GAMMA_RANGE) -> np.ndarray:
+    """Uniformly random scenarios as ``(count, 5)`` rows (alpha, phi, theta, varphi, gamma).
+
+    Reproducible for a given seed: row k holds the five draws that
+    ``rng.uniform`` would give the k-th scenario, column by column.
+    """
+    low, high = gamma_range
+    lows = np.array([0.0, 0.0, 0.0, 0.0, low])
+    widths = np.array([math.pi, 2.0 * math.pi, math.pi, 2.0 * math.pi, high - low])
+    return lows + widths * np.random.default_rng(seed).random((count, 5))
+
+
 def random_setups(count: int, seed: int, gamma_range=RANDOM_GAMMA_RANGE) -> list[JointSetup]:
-    """Uniformly random scenarios, reproducible for a given seed."""
-    rng = np.random.default_rng(seed)
-    setups = []
-    for _ in range(count):
-        state = make_state(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
-        direction = make_direction(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
-        setups.append(JointSetup(state, direction, Coupling(rng.uniform(*gamma_range))))
-    return setups
+    """The rows of :func:`random_scenarios`, one setup each."""
+    rows = random_scenarios(count, seed, gamma_range).tolist()
+    return [JointSetup(make_state(alpha, phi), make_direction(theta, varphi), Coupling(gamma))
+            for alpha, phi, theta, varphi, gamma in rows]
+
+
+def stacked_setup(scenarios: np.ndarray) -> JointSetup:
+    """One setup holding the columns of :func:`random_scenarios`, which the closed forms
+    broadcast over."""
+    alpha, phi, theta, varphi, gamma = scenarios.T
+    return JointSetup(PureState(alpha, phi), ObservableDirection(theta, varphi), Coupling(gamma))
+
+
+def _largest(deviations) -> float:
+    """Largest absolute entry of the deviation arrays; 0 when they are empty."""
+    return max(float(np.max(np.abs(d), initial=0.0)) for d in deviations)
 
 
 def suite_oracle_equivalence(count: int = 1000, seed: int = 0) -> SuiteResult:
-    """Closed forms against the brute-force tensor simulation."""
-    worst = 0.0
-    for setup in random_setups(count, seed):
-        ref = oracle.simulate(setup)
-        law = joint_distribution(setup)
-        errs = [
-            float(np.max(np.abs(entangled_state(setup) - ref.state))),
-            float(np.max(np.abs(np.subtract(meter_law(law), ref.meter_probs)))),
-            float(np.max(np.abs(np.subtract(b_law(law), ref.b_probs)))),
-            float(np.max(np.abs(post_measurement_density(setup) - ref.density))),
-            max(abs(p - ref.joint[cell]) for p, cell in zip(law, JOINT_CELLS)),
-        ]
-        worst = max(worst, max(float(e) for e in errs))
+    """Closed forms against the brute-force tensor simulation, over all scenarios at once."""
+    scenarios = random_scenarios(count, seed)
+    setup = stacked_setup(scenarios)
+    state, meter_probs, density, b_probs, joint = oracle.simulate_stack(*scenarios.T)
+    law = joint_distribution(setup)
+    worst = _largest([
+        entangled_state(setup).T - state,
+        np.transpose(meter_law(law)) - meter_probs,
+        np.transpose(b_law(law)) - b_probs,
+        post_measurement_density(setup) - density,
+        law.T - joint,
+    ])
     return SuiteResult(
         name="oracle_equivalence",
         passed=worst <= ORACLE_TOL,
@@ -112,13 +131,13 @@ def suite_oracle_equivalence(count: int = 1000, seed: int = 0) -> SuiteResult:
 
 def suite_round_trip(count: int = 1000, seed: int = 1) -> SuiteResult:
     """The estimator weights invert the exact model laws; degenerate couplings refuse."""
-    worst = 0.0
-    for setup in random_setups(count, seed):
-        w_a, w_b = estimator_weights(setup)
-        law = joint_distribution(setup)
-        true_a = expectation(setup.state, a_direction())
-        true_b = expectation(setup.state, setup.b_dir)
-        worst = max(worst, abs(float(w_a @ law) - true_a), abs(float(w_b @ law) - true_b))
+    setup = stacked_setup(random_scenarios(count, seed))
+    w_a, w_b = estimator_weights(setup)
+    law = joint_distribution(setup)
+    worst = _largest([
+        np.sum(w_a * law, axis=0) - expectation(setup.state, a_direction()),
+        np.sum(w_b * law, axis=0) - expectation(setup.state, setup.b_dir),
+    ])
     errors_ok = _degenerate_couplings_refuse()
     return SuiteResult(
         name="round_trip_correction",

@@ -5,12 +5,13 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from seqmeas import verify
 from seqmeas import cli
 from seqmeas.cli import (MAX_GRID, MAX_SCAN_POINTS, MAX_TRIALS, MAX_VERIFY_REPEATS,
-                         MAX_VERIFY_TRIALS, _render_rows, main)
+                         MAX_VERIFY_TRIALS, _render_report, _render_rows, main)
 from seqmeas.correction import ZnzdClass, is_znzd
 from seqmeas.qubit import make_direction, make_state
 
@@ -347,6 +348,21 @@ class TestZnzd:
         assert len(calls) <= 2 * 360 - 1
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("value, python", [
+    (np.bool_(True), True),
+    (np.bool_(False), False),
+    (np.int64(-7), -7),
+    (np.float64(0.12345678912), 0.12345678912),
+    (np.float64(math.nan), math.nan),
+], ids=["bool_true", "bool_false", "int64", "float64", "float64_nan"])
+def test_numpy_scalars_render_as_the_python_ones(fmt, value, python):
+    # a verdict or metric computed in numpy prints exactly as the Python value does
+    report = {"suites": [{"passed": value, "metrics": {"value": value}}]}
+    expected = {"suites": [{"passed": python, "metrics": {"value": python}}]}
+    assert _render_report(report, fmt) == _render_report(expected, fmt)
+
+
 class TestVerify:
     def test_passes_and_reports_suites(self, capsys):
         code, out, _ = run(capsys, ["verify", *FAST_VERIFY])
@@ -364,13 +380,17 @@ class TestVerify:
         assert all(suite["passed"] for suite in report["suites"])
 
     def test_injected_fault_fails(self, capsys, monkeypatch):
-        # negative control: moving 1e-3 of the joint law from its largest cell (at
-        # least 1/4) to its smallest must fail the oracle suite
+        # negative control: moving 1e-3 of each scenario's joint law from its largest
+        # cell (at least 1/4) to its smallest must fail the oracle suite
         exact = verify.joint_distribution
 
         def shifted(setup):
             cells = exact(setup)
-            cells[[cells.argmax(), cells.argmin()]] += [-1e-3, 1e-3]
+            laws = cells.reshape(4, -1)  # one column per scenario of a stack
+            scenarios = range(laws.shape[1])
+            largest, smallest = laws.argmax(axis=0), laws.argmin(axis=0)
+            laws[largest, scenarios] -= 1e-3
+            laws[smallest, scenarios] += 1e-3
             return cells
 
         monkeypatch.setattr(verify, "joint_distribution", shifted)
@@ -426,10 +446,12 @@ class TestVerify:
         assert "--verify-repeats" in err and "Warning" not in err
 
     def test_round_trip_evaluates_one_law_per_scenario(self, law_calls):
-        # one per random scenario; the degenerate-coupling refusals evaluate none
+        # the laws of all random scenarios in one stacked call; the degenerate-coupling
+        # refusals evaluate none
         result = verify.suite_round_trip(count=25, seed=3)
         assert result.passed
-        assert len(law_calls) == 25
+        (stack,) = law_calls
+        assert len(stack.coupling.gamma) == 25
 
     def test_byte_identical_runs_and_workers(self, capsys):
         _, first, _ = run(capsys, ["verify", *FAST_VERIFY])

@@ -17,9 +17,10 @@ from seqmeas import (
     meter_probabilities,
     post_measurement_density,
 )
-from seqmeas import oracle
+from seqmeas import estimator_weights, expectation, oracle
 from seqmeas.coupling import GAMMA_MIN, JOINT_CELLS, b_law, meter_law
-from seqmeas.verify import random_setups
+from seqmeas.qubit import a_direction
+from seqmeas.verify import random_scenarios, random_setups, stacked_setup
 
 
 def cell(law, m, b):
@@ -248,3 +249,48 @@ class TestOracleEquivalence:
             for m in (+1, -1):
                 for b in (+1, -1):
                     assert cell(law, m, b) == pytest.approx(ref.joint[(m, b)], abs=1e-10)
+
+
+def uniform_loop(count, seed, gamma_range):
+    """The per-scenario draws that random_setups made one rng.uniform call at a time."""
+    rng = np.random.default_rng(seed)
+    return [(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, math.pi),
+             rng.uniform(0.0, 2.0 * math.pi), rng.uniform(*gamma_range)) for _ in range(count)]
+
+
+class TestScenarioStacks:
+    @pytest.mark.parametrize("count, seed, gamma_range", [
+        (1000, 5, (0.7072, 0.9999)), (300, 0, (0.7072, 0.9999)), (200, 79, (0.715, 0.995)),
+        (1, 2**32 + 1, (GAMMA_MIN, 1.0)),
+    ])
+    def test_draws_equal_the_per_scenario_uniform_calls(self, count, seed, gamma_range):
+        loop = uniform_loop(count, seed, gamma_range)
+        assert random_scenarios(count, seed, gamma_range).tolist() == [list(row) for row in loop]
+        expected = [JointSetup(make_state(a, p), make_direction(t, v), Coupling(g))
+                    for a, p, t, v, g in loop]
+        assert random_setups(count, seed, gamma_range) == expected
+
+    def test_the_stacked_oracle_equals_the_one_scenario_oracle(self):
+        stack = oracle.simulate_stack(*random_scenarios(300, seed=67).T)
+        for k, setup in enumerate(random_setups(300, seed=67)):
+            ref = oracle.simulate(setup)
+            one = (ref.state, ref.meter_probs, ref.density, ref.b_probs, list(ref.joint.values()))
+            for stacked, single in zip(stack, one):
+                assert stacked[k].tobytes() == np.asarray(single).tobytes()
+
+    def test_the_stacked_closed_forms_equal_the_one_scenario_ones(self):
+        stack = stacked_setup(random_scenarios(300, seed=71))
+        law, amplitudes = joint_distribution(stack), entangled_state(stack)
+        rho, (w_a, w_b) = post_measurement_density(stack), estimator_weights(stack)
+        true_a = expectation(stack.state, a_direction())
+        true_b = expectation(stack.state, stack.b_dir)
+        for k, setup in enumerate(random_setups(300, seed=71)):
+            one_w_a, one_w_b = estimator_weights(setup)
+            for stacked, single in [
+                (law[:, k], joint_distribution(setup)), (amplitudes[:, k], entangled_state(setup)),
+                (rho[k], post_measurement_density(setup)),
+                (w_a[:, k], one_w_a), (w_b[:, k], one_w_b),
+                (true_a[k], expectation(setup.state, a_direction())),
+                (true_b[k], expectation(setup.state, setup.b_dir)),
+            ]:
+                assert stacked.tobytes() == np.asarray(single).tobytes()

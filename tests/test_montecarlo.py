@@ -75,6 +75,13 @@ class TestCounterRng:
     def test_distinct_seeds_differ(self):
         assert not np.array_equal(trial_uniforms(1, 0, 100), trial_uniforms(2, 0, 100))
 
+    def test_buffered_hash_equals_the_fresh_one(self):
+        buffers = (np.empty(montecarlo._CHUNK, np.uint64), np.empty(montecarlo._CHUNK, np.uint64))
+        chunk = montecarlo._CHUNK
+        for seed, lo, hi in ((7, 0, 1000), (2**64 - 1, 12345, 12345 + chunk), (3, 5, 6)):
+            buffered = trial_uniforms(seed, lo, hi, buffers=buffers)
+            np.testing.assert_array_equal(buffered, trial_uniforms(seed, lo, hi))
+
     def test_derive_seed_distinct_and_stable(self):
         children = [derive_seed(42, r) for r in range(100)]
         assert len(set(children)) == 100
@@ -155,6 +162,43 @@ class TestThreadFanOut:
         monkeypatch.setattr(montecarlo, "_counts_for_range", failing)
         with pytest.raises(RuntimeError, match="shard failed"):
             sample(worked_setup, 300_000, seed=21, workers=2)
+
+
+class TestChunkBuffers:
+    # every sample call on a thread hashes in that thread's same two chunk buffers
+
+    def test_interleaved_calls_leak_nothing_between_calls(self, worked_setup):
+        calls = [(worked_setup, 100_001, 5, 1), (ZERO_CELL_SETUP, 1, 7, 1),
+                 (worked_setup, 2**16 + 3, 2**64 - 1, 2), (ZERO_CELL_SETUP, 300_000, 0, 1),
+                 (worked_setup, 17, 42, 3), (worked_setup, 100_001, 5, 1)]
+        for setup, trials, seed, workers in calls:
+            expected = reference_counts(cumulative_law(setup), seed, 0, trials)
+            assert sample(setup, trials, seed, workers=workers).counts == tuple(expected)
+
+    def test_concurrent_callers_get_their_own_buffers(self, worked_setup):
+        # more callers than cores, switching often: shared buffers would mix their counts
+        seeds = (1, 2, 3, 4)
+        expected = {seed: sample(worked_setup, 200_003, seed).counts for seed in seeds}
+        seen = {seed: set() for seed in seeds}
+        start = threading.Barrier(len(seeds), timeout=10)
+
+        def run(seed):
+            start.wait()
+            for _ in range(5):
+                seen[seed].add(sample(worked_setup, 200_003, seed).counts)
+
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == {seed: {counts} for seed, counts in expected.items()}
 
 
 class TestTrialBatch:

@@ -6,6 +6,7 @@ example database is written.
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -158,6 +159,11 @@ cells = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 5e-324, 1e16, 1.0 + 2**-52]),
     st.floats(1e9, 1e17) | st.floats(-1e17, -1e9),
     st.integers(-10**6, 10**6).map(float),
+    # every decade from the subnormals (1e-330 underflows to 0) to 1e30, both signs
+    st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent,
+              st.floats(-10.0, 10.0), st.integers(-330, 30)),
+    # any bit pattern
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0]),
 )
 column_names = st.sampled_from(["gamma", "alpha", "%s", "100%", 'a"b', "t\u00e9", "x,y"]) | st.text()
 tables = st.lists(column_names, min_size=1, max_size=5, unique=True).flatmap(
