@@ -1,9 +1,14 @@
 """Deterministic seeded sampling of the joint outcome law and statistical checks.
 
-Randomness is counter-based: the uniform variate of trial ``i`` is a stateless
-splitmix64-style hash of ``(seed, i)``, so a batch is a pure function of
-``(setup, trials, seed)`` and the counts are bit-identical however the trial
+Randomness is counter-based: trial ``i`` draws the 64-bit word ``z_i``, a
+stateless splitmix64-style hash of ``(seed, i)``, whose uniform [0, 1) variate
+is ``u_i = (z_i >> 11) 2^-53``.  A batch is a pure function of
+``(setup, trials, seed)``, and the counts are bit-identical however the trial
 range is sharded across workers.  Merging shards is plain count addition.
+
+The sampler compares the words themselves with integer thresholds: for
+``K = ceil(c 2^53)``, ``u_i < c`` exactly when ``z_i < K 2^11``, so no
+variate is ever formed.
 
 Estimates are affine functions of the observed cell frequencies and are never
 clamped to [-1, 1]; standard errors are propagated exactly through the
@@ -33,19 +38,21 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _STREAM = 0xD1B54A32D192ED03
 
-# Trials materialized as one array: a 2^16-element uint64 buffer is 512 KiB,
-# so a chunk's hash, variates and comparisons stay in a core's L2 cache.
+# Trials hashed as one array: a 2^16-element uint64 buffer is 512 KiB, so a
+# chunk's counters, hash words and comparisons stay in a core's L2 cache.
 _CHUNK = 1 << 16
 
 
 @functools.cache
 def _trial_offsets() -> np.ndarray:
-    """``1 .. _CHUNK``: trial number + 1 of each trial of a chunk, counted from its start.
+    """``k G mod 2^64`` for ``k = 1 .. _CHUNK``, where ``G`` is ``_GOLDEN``.
 
+    Trial ``lo + k - 1`` of a chunk starting at trial ``lo`` hashes the counter
+    ``(lo + k) G + seed``, which is this table plus ``lo G + seed``: one add.
     Read-only, since every thread shares it; made on the first sample call,
     so that a run which samples nothing never pays for it.
     """
-    offsets = np.arange(1, _CHUNK + 1, dtype=np.uint64)
+    offsets = np.arange(1, _CHUNK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     offsets.flags.writeable = False
     return offsets
 
@@ -71,23 +78,21 @@ def _mix64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def trial_uniforms(seed: int, start: int, stop: int, *, buffers=None) -> np.ndarray:
-    """Uniform [0, 1) variates of trials ``start .. stop-1`` for this seed.
+    """64-bit hash words of trials ``start .. stop-1`` for this seed.
 
+    Word ``z`` stands for the uniform [0, 1) variate ``(z >> 11) 2^-53``.
     With ``buffers``, a pair of ``_CHUNK``-element uint64 arrays, at most
     ``_CHUNK`` trials are hashed in them instead of in two new arrays; the
-    result is then a view of the second, valid until they are passed again.
+    result is then a view of the first, valid until they are passed again.
     """
+    base = np.uint64((start * _GOLDEN + seed) & _MASK64)
     if buffers is None:
-        z = np.arange(start + 1, stop + 1, dtype=np.uint64)
+        z = np.arange(1, stop - start + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + base
         t = np.empty_like(z)
     else:
         z, t = (buffer[:stop - start] for buffer in buffers)
-        np.add(_trial_offsets()[:stop - start], np.uint64(start), out=z)
-    z *= np.uint64(_GOLDEN)
-    z += np.uint64(seed & _MASK64)
-    np.right_shift(_mix64(z, t), np.uint64(11), out=z)
-    # k * 2^-53 is exact for k < 2^53; the variates reuse the scratch buffer
-    return np.multiply(z, 2.0**-53, out=t.view(np.float64), casting="unsafe")
+        np.add(_trial_offsets()[:stop - start], base, out=z)
+    return _mix64(z, t)
 
 
 def derive_seed(seed: int, stream: int) -> int:
@@ -128,19 +133,34 @@ class SampleStats:
     se_B: float
 
 
+def _word_threshold(c: float):
+    """``K 2^11`` with ``K = ceil(c 2^53)``: a trial's variate is below ``c`` exactly
+    when its hash word is below this, as ``u < c`` means ``(z >> 11) < c 2^53``.
+
+    ``None`` for ``c >= 1``, which every variate is below, and where ``K 2^11``
+    would not fit a word.  ``c <= 0`` and NaN, which no variate is below, give
+    0, so that ``math.ceil`` only sees ``c`` in (0, 1), where ``K < 2^53``.
+    """
+    if c >= 1.0:
+        return None
+    return np.uint64(math.ceil(c * 2.0**53) << 11 if c > 0.0 else 0)
+
+
 def _counts_for_range(cum: np.ndarray, seed: int, start: int, stop: int) -> np.ndarray:
     # trial i falls in a cell <= j exactly when u_i < cum[j] (cum is nondecreasing)
+    thresholds = [_word_threshold(c) for c in cum[:3].tolist()]
     below = np.zeros(3, dtype=np.int64)
     buffers = _THREAD_BUFFERS.pair
     for lo in range(start, stop, _CHUNK):
-        u = trial_uniforms(seed, lo, min(lo + _CHUNK, stop), buffers=buffers)
-        below += [np.count_nonzero(u < c) for c in cum[:3]]
+        z = trial_uniforms(seed, lo, min(lo + _CHUNK, stop), buffers=buffers)
+        below += [z.size if k is None else np.count_nonzero(z < k) for k in thresholds]
     return np.diff(below, prepend=0, append=stop - start)
 
 
 def _thread_count(workers: int, trials: int) -> int:
-    """Threads that ``workers`` gets: never more than the cores or the trials."""
-    return min(workers, os.cpu_count() or 1, trials)
+    """Threads that ``workers`` gets: never more than the cores, and every thread
+    gets at least one whole chunk of trials."""
+    return min(workers, os.cpu_count() or 1, max(1, trials // _CHUNK))
 
 
 def sample(setup: JointSetup, trials: int, seed: int, workers: int = 1) -> TrialBatch:

@@ -32,13 +32,21 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
 
-def reference_uniform(seed, index):
+def reference_word(seed, index):
     """Pure-python splitmix64 of (seed, index), as an independent reference."""
     z = (seed + (index + 1) * GOLDEN) & MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    z = (z ^ (z >> 31)) & MASK64
-    return (z >> 11) * 2.0**-53
+    return (z ^ (z >> 31)) & MASK64
+
+
+def reference_uniform(seed, index):
+    return (reference_word(seed, index) >> 11) * 2.0**-53
+
+
+def uniforms(words):
+    """The variates the hash words stand for: u = (z >> 11) 2^-53."""
+    return (words >> np.uint64(11)) * 2.0**-53
 
 
 def cumulative_law(setup):
@@ -49,7 +57,7 @@ def cumulative_law(setup):
 
 def reference_counts(cum, seed, lo, hi):
     """Cell counts by binary search over the variates, independent of the kernel."""
-    cells = np.searchsorted(cum, trial_uniforms(seed, lo, hi), side="right")
+    cells = np.searchsorted(cum, uniforms(trial_uniforms(seed, lo, hi)), side="right")
     return np.bincount(cells, minlength=4)
 
 
@@ -60,8 +68,11 @@ ZERO_CELL_SETUP = JointSetup(  # law (0.25, 0, 0, 0.75): cum[0] == cum[1] == cum
 
 class TestCounterRng:
     def test_matches_scalar_reference(self):
-        u = trial_uniforms(42, 0, 50)
+        words = trial_uniforms(42, 0, 50)
+        assert words.dtype == np.uint64
+        u = uniforms(words)
         for i in range(50):
+            assert int(words[i]) == reference_word(42, i)
             assert u[i] == reference_uniform(42, i)
 
     def test_range_slices_are_consistent(self):
@@ -69,7 +80,7 @@ class TestCounterRng:
         np.testing.assert_array_equal(whole[200:500], trial_uniforms(7, 200, 500))
 
     def test_unit_interval(self):
-        u = trial_uniforms(123456789, 0, 10000)
+        u = uniforms(trial_uniforms(123456789, 0, 10000))
         assert u.min() >= 0.0 and u.max() < 1.0
 
     def test_distinct_seeds_differ(self):
@@ -100,9 +111,10 @@ class TestSample:
         assert first == second
 
     def test_workers_do_not_change_counts(self, worked_setup):
-        serial = sample(worked_setup, 100_001, seed=13)
+        trials = 7 * montecarlo._CHUNK + 1  # enough whole chunks for 7 shards
+        serial = sample(worked_setup, trials, seed=13)
         for workers in (2, 3, 7):
-            assert sample(worked_setup, 100_001, seed=13, workers=workers).counts == serial.counts
+            assert sample(worked_setup, trials, seed=13, workers=workers).counts == serial.counts
 
     def test_empirical_frequencies_converge(self, worked_setup):
         law = joint_distribution(worked_setup)
@@ -133,15 +145,59 @@ class TestCountKernel:
         np.testing.assert_array_equal(counts, reference_counts(cum, seed, lo, hi))
 
 
+def defined_counts(cum, seed, lo, hi):
+    """Cell counts straight from the definition: u_i < cum[j] for j < 3, over the
+    pure-python variates, with no binary search and no integer threshold."""
+    u = [reference_uniform(seed, i) for i in range(lo, hi)]
+    below = [sum(x < c for x in u) for c in cum[:3].tolist()]
+    return np.diff(below, prepend=0, append=hi - lo)
+
+
+class TestWordThresholds:
+    # the kernel compares hash words with ceil(c 2^53) 2^11 instead of variates with c
+    LO, HI, SEED = montecarlo._CHUNK - 700, montecarlo._CHUNK + 900, 29
+
+    @pytest.mark.parametrize("towards", [-1.0, 0.0, 1.0], ids=["below", "equal", "above"])
+    def test_threshold_at_a_drawn_variate_and_its_neighbours(self, towards):
+        u = sorted({reference_uniform(self.SEED, i) for i in range(self.LO, self.HI)})
+        # words whose low 11 bits are 0 equal their own variate's threshold word
+        exact = [reference_uniform(self.SEED, i) for i in range(self.LO, self.HI)
+                 if reference_word(self.SEED, i) % 2**11 == 0]
+        assert exact
+        for drawn in (u[0], u[len(u) // 3], u[-1], *exact):
+            c = drawn if towards == 0.0 else float(np.nextafter(drawn, towards * np.inf))
+            for cum in (np.array([c, c, c, 1.0]), np.array([0.0, c, 1.0, 1.0])):
+                counts = montecarlo._counts_for_range(cum, self.SEED, self.LO, self.HI)
+                np.testing.assert_array_equal(counts, defined_counts(cum, self.SEED, self.LO, self.HI))
+
+    @pytest.mark.parametrize("c", [0.0, -1e-17, 1 - 2**-53, 1.0, 1 + 2**-52, 2**-1074,
+                                   math.inf, -math.inf, math.nan])
+    def test_edge_thresholds(self, c):
+        for cum in (np.array([c, c, c, 1.0]), np.array([min(c, 0.25), 0.5, c, 1.0])):
+            counts = montecarlo._counts_for_range(cum, self.SEED, self.LO, self.HI)
+            np.testing.assert_array_equal(counts, defined_counts(cum, self.SEED, self.LO, self.HI))
+
+    def test_chunk_start_that_wraps_the_word(self):
+        seed, chunk = 2**64 - 1, montecarlo._CHUNK
+        lo, hi = chunk // 3, chunk // 3 + chunk + 5  # two chunks, neither starting at a multiple
+        assert (lo * GOLDEN + seed) > MASK64 and ((lo + chunk) * GOLDEN + seed) > MASK64
+        cum = cumulative_law(JointSetup(make_state(0.4, 1.0), make_direction(1.2, 0.3),
+                                        Coupling(0.9)))
+        counts = montecarlo._counts_for_range(cum, seed, lo, hi)
+        np.testing.assert_array_equal(counts, defined_counts(cum, seed, lo, hi))
+
+
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two shards need two cores")
 class TestThreadFanOut:
     # each test starts exactly the two shard threads of one sample call
     def test_one_thread_per_shard_and_the_caller_only_waits(self, worked_setup, monkeypatch):
         real = montecarlo._counts_for_range
         threads = []
+        both_alive = threading.Barrier(2, timeout=10)  # no shard ends before the other starts
 
         def spy(cum, seed, start, stop):
             threads.append(threading.get_ident())
+            both_alive.wait()
             return real(cum, seed, start, stop)
 
         monkeypatch.setattr(montecarlo, "_counts_for_range", spy)
@@ -169,7 +225,7 @@ class TestChunkBuffers:
 
     def test_interleaved_calls_leak_nothing_between_calls(self, worked_setup):
         calls = [(worked_setup, 100_001, 5, 1), (ZERO_CELL_SETUP, 1, 7, 1),
-                 (worked_setup, 2**16 + 3, 2**64 - 1, 2), (ZERO_CELL_SETUP, 300_000, 0, 1),
+                 (worked_setup, 2**17 + 3, 2**64 - 1, 2), (ZERO_CELL_SETUP, 300_000, 0, 1),
                  (worked_setup, 17, 42, 3), (worked_setup, 100_001, 5, 1)]
         for setup, trials, seed, workers in calls:
             expected = reference_counts(cumulative_law(setup), seed, 0, trials)
@@ -266,8 +322,11 @@ class TestThreadCount:
         assert _thread_count(2**63, 2**63) == cores
 
     def test_capped_by_trials(self):
+        # every thread gets at least one whole chunk
+        chunk = montecarlo._CHUNK
         assert _thread_count(10**9, 1) == 1
-        assert _thread_count(10**9, 2) == min(2, os.cpu_count() or 1)
+        assert _thread_count(10**9, 2 * chunk - 1) == 1
+        assert _thread_count(10**9, 2 * chunk) == min(2, os.cpu_count() or 1)
 
     def test_never_above_request(self):
         assert _thread_count(1, 10**12) == 1

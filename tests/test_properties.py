@@ -31,7 +31,7 @@ from seqmeas.coupling import (  # noqa: E402
     meter_probabilities,
     post_measurement_density,
 )
-from seqmeas.montecarlo import sample  # noqa: E402
+from seqmeas.montecarlo import _CHUNK, _counts_for_range, sample  # noqa: E402
 from seqmeas.qubit import (  # noqa: E402
     a_direction,
     born_probability,
@@ -40,6 +40,7 @@ from seqmeas.qubit import (  # noqa: E402
     make_state,
 )
 from seqmeas.verify import RANDOM_GAMMA_RANGE  # noqa: E402
+from test_montecarlo import defined_counts, reference_uniform  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -115,6 +116,26 @@ def test_the_array_law_equals_the_one_element_laws(setup, gammas):
     for k, gamma in enumerate(gammas):
         law = joint_distribution(JointSetup(setup.state, setup.b_dir, Coupling(gamma)))
         assert cells[:, k].tobytes() == law.tobytes()
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    chunk_end=st.integers(1, 2**30),
+    before=st.integers(1, 600),
+    after=st.integers(0, 600),
+    picks=st.lists(st.tuples(st.integers(0, 1200), st.sampled_from([-1.0, 0.0, 1.0])),
+                   min_size=3, max_size=3),
+)
+def test_word_thresholds_count_as_the_variates_do(seed, chunk_end, before, after, picks):
+    # thresholds at, just below and just above variates of the range itself,
+    # which may run across a chunk boundary
+    lo, hi = chunk_end * _CHUNK - before, chunk_end * _CHUNK + after
+    u = [reference_uniform(seed, i) for i in range(lo, hi)]
+    cum = np.sort([float(np.nextafter(u[index % len(u)], towards * np.inf)) if towards
+                   else u[index % len(u)] for index, towards in picks] + [1.0])
+    counts = _counts_for_range(cum, seed, lo, hi)
+    np.testing.assert_array_equal(counts, defined_counts(cum, seed, lo, hi))
 
 
 # the closed coupling range, with both endpoints drawn as well
