@@ -17,7 +17,9 @@ coherent part ``deco t``, which a projective pre-measurement (deco = 0) erases.
 This module provides the entangled state, the joint law as an array of four cells
 (the primitive: sampling draws from it, and :func:`meter_law` and :func:`b_law`
 sum it into the marginal laws), the reduced density matrix as a 2x2 array and
-that decomposition.
+that decomposition.  :func:`joint_distribution` is the one place the law is
+written; it reads kappa and deco from :class:`Coupling`, and a setup whose
+angles or coupling are arrays gives one law per scenario of the stack.
 """
 
 from __future__ import annotations
@@ -34,14 +36,6 @@ GAMMA_MIN = 1.0 / math.sqrt(2.0)
 
 # Slack for accepting gamma values that round just outside [1/sqrt(2), 1].
 _GAMMA_SLACK = 1e-12
-
-
-def coupling_factors(gamma):
-    """``(gamma_bar, kappa, deco)`` of an amplitude in [1/sqrt(2), 1], or of an array of them."""
-    gamma_bar = np.sqrt(np.maximum(0.0, 1.0 - gamma * gamma))
-    # clamp: rounding at the domain endpoints can land an ulp outside [0, 1]
-    kappa, deco = np.clip([2.0 * gamma * gamma - 1.0, 2.0 * gamma * gamma_bar], 0.0, 1.0)
-    return gamma_bar, kappa, deco
 
 
 @dataclass(frozen=True)
@@ -67,8 +61,11 @@ class Coupling:
                 f"gamma must lie in [1/sqrt(2), 1], got {gamma.tolist()!r}"
             )
         gamma = np.clip(gamma, GAMMA_MIN, 1.0)
+        gamma_bar = np.sqrt(np.maximum(0.0, 1.0 - gamma * gamma))
+        # clamp: rounding at the domain endpoints can land an ulp outside [0, 1]
+        kappa, deco = np.clip([2.0 * gamma * gamma - 1.0, 2.0 * gamma * gamma_bar], 0.0, 1.0)
         for name, value in zip(("gamma", "gamma_bar", "kappa", "deco"),
-                               (gamma, *coupling_factors(gamma))):
+                               (gamma, gamma_bar, kappa, deco)):
             object.__setattr__(self, name, value if value.ndim else float(value))
 
     @staticmethod
@@ -153,24 +150,18 @@ def b_probabilities(setup: JointSetup) -> tuple[float, float]:
     return b_law(joint_distribution(setup))
 
 
-def joint_law(state: PureState, direction: ObservableDirection, gamma) -> np.ndarray:
-    """Cells of the joint law of (m, b), along the first axis, for one or many scenarios.
-
-    The state's and the direction's angles and ``gamma`` may be arrays; the
-    cells then have shape ``(4,)`` plus their broadcast shape.
+def joint_distribution(setup: JointSetup) -> np.ndarray:
+    """Cells of the exact joint law of (m, b), along the first axis, for one scenario or a stack.
 
     Cell (m, b) is ``(1 + m kappa <sigma_z> + b (m kappa n_z + <sigma_z> n_z +
-    deco t)) / 4``, in the order of :data:`JOINT_CELLS`.  :func:`meter_law`
-    and :func:`b_law` sum these cells into the two marginal laws.
+    deco t)) / 4``, in the order of :data:`JOINT_CELLS`, with kappa and deco
+    read from the setup's coupling.  The angles and the coupling may be
+    arrays; the cells then have shape ``(4,)`` plus their broadcast shape.
+    :func:`meter_law` and :func:`b_law` sum these cells into the two marginal laws.
     """
-    _, kappa, deco = coupling_factors(gamma)
-    sigma_z, n_z, t = bloch_terms(state, direction)
+    kappa, deco = setup.coupling.kappa, setup.coupling.deco
+    sigma_z, n_z, t = bloch_terms(setup.state, setup.b_dir)
     return np.clip(np.stack([
         0.25 * (1.0 + m * kappa * sigma_z + b * (m * kappa * n_z + sigma_z * n_z + deco * t))
         for m, b in JOINT_CELLS
     ]), 0.0, 1.0)
-
-
-def joint_distribution(setup: JointSetup) -> np.ndarray:
-    """Exact joint law of the sequential outcomes (m, b); :func:`joint_law` at one gamma."""
-    return joint_law(setup.state, setup.b_dir, setup.coupling.gamma)

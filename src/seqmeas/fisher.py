@@ -25,9 +25,7 @@ from .coupling import (
     Coupling,
     JointSetup,
     b_law,
-    coupling_factors,
     joint_distribution,
-    joint_law,
     meter_law,
 )
 from .errors import DegenerateDistribution, InvalidParameter, UnboundedVariance
@@ -148,14 +146,13 @@ def tradeoff_curve(
         )
 
     lo, hi = GAMMA_MIN + ENDPOINT_OFFSET, 1.0 - ENDPOINT_OFFSET
-    gammas = lo + (hi - lo) * np.arange(grid) / (grid - 1)
-    _, kappas, decos = coupling_factors(gammas)
-    cells = joint_law(state, direction, gammas)
+    sweep = Coupling(lo + (hi - lo) * np.arange(grid) / (grid - 1))
+    cells = joint_distribution(JointSetup(state, direction, sweep))
     (m_plus, m_minus), (b_plus, b_minus) = meter_law(cells), b_law(cells)
     degenerate = (m_plus <= 0.0) | (m_plus >= 1.0) | (b_plus <= 0.0) | (b_plus >= 1.0)
     m_plus[degenerate] = b_plus[degenerate] = np.nan  # nan rows: the information diverges
-    epsilons = _binary_information(m_plus, m_minus, 0.5 * kappas) / i_a_proj
-    etas = _binary_information(b_plus, b_minus, 0.5 * decos) / i_b_proj
-    rows = zip(*(a.tolist() for a in (gammas, kappas, epsilons, etas)))
+    epsilons = _binary_information(m_plus, m_minus, 0.5 * sweep.kappa) / i_a_proj
+    etas = _binary_information(b_plus, b_minus, 0.5 * sweep.deco) / i_b_proj
+    rows = zip(*(a.tolist() for a in (sweep.gamma, sweep.kappa, epsilons, etas)))
     return [TradeoffPoint(GAMMA_MIN, 0.0, 0.0, 1.0), *(TradeoffPoint(*row) for row in rows),
             TradeoffPoint(1.0, 1.0, 1.0, 0.0)]

@@ -28,7 +28,6 @@ from .coupling import (
     b_law,
     entangled_state,
     joint_distribution,
-    joint_law,
     meter_law,
     post_measurement_density,
 )
@@ -87,13 +86,6 @@ def random_scenarios(count: int, seed: int, gamma_range=RANDOM_GAMMA_RANGE) -> n
     lows = np.array([0.0, 0.0, 0.0, 0.0, low])
     widths = np.array([math.pi, 2.0 * math.pi, math.pi, 2.0 * math.pi, high - low])
     return lows + widths * np.random.default_rng(seed).random((count, 5))
-
-
-def random_setups(count: int, seed: int, gamma_range=RANDOM_GAMMA_RANGE) -> list[JointSetup]:
-    """The rows of :func:`random_scenarios`, one setup each."""
-    rows = random_scenarios(count, seed, gamma_range).tolist()
-    return [JointSetup(make_state(alpha, phi), make_direction(theta, varphi), Coupling(gamma))
-            for alpha, phi, theta, varphi, gamma in rows]
 
 
 def stacked_setup(scenarios: np.ndarray) -> JointSetup:
@@ -232,24 +224,37 @@ def znzd_states(count: int, seed: int, nontrivial: bool) -> list[tuple]:
     return pairs
 
 
-def b_variation_over_gamma(state, direction, points: int = 50) -> float:
-    """Spread of the +1 probability of b across the whole coupling range."""
-    cells = joint_law(state, direction, np.linspace(GAMMA_MIN, 1.0, points))
-    return float(np.ptp(b_law(cells)[0]))
+def stacked_pairs(pairs: list[tuple]) -> tuple[PureState, ObservableDirection]:
+    """One state and one direction holding the angles of the (state, direction) pairs."""
+    alpha, phi, theta, varphi = np.reshape(
+        [(s.alpha, s.phi, d.theta, d.varphi) for s, d in pairs], (-1, 4)).T
+    return PureState(alpha, phi), ObservableDirection(theta, varphi)
+
+
+def b_variation_over_gamma(state, direction, points: int = 50):
+    """Spread of the +1 probability of b across the whole coupling range.
+
+    The state and the direction may be stacks of pairs (see :func:`stacked_pairs`);
+    the coupling grid runs along its own first axis, and the spread is taken
+    over it, one per pair.
+    """
+    gammas = np.linspace(GAMMA_MIN, 1.0, points).reshape((points,) + (1,) * np.ndim(state.alpha))
+    cells = joint_distribution(JointSetup(state, direction, Coupling(gammas)))
+    return np.ptp(b_law(cells)[0], axis=0)
 
 
 def suite_znzd(count: int = 100, seed: int = 4, grid: int = 50) -> SuiteResult:
     """Coupling invariance of b statistics exactly on the ZNZD locus."""
-    worst_invariance = 0.0
-    for state, direction in znzd_states(count, seed, nontrivial=True):
-        if is_znzd(state, direction) is not ZnzdClass.NONTRIVIAL:
-            return SuiteResult("znzd", False, "a constructed ZNZD state was not classified as such")
-        worst_invariance = max(worst_invariance, b_variation_over_gamma(state, direction, grid))
-    least_variation = math.inf
-    for state, direction in znzd_states(count, seed + 1, nontrivial=False):
-        if is_znzd(state, direction) is not ZnzdClass.NOT_ZNZD:
-            return SuiteResult("znzd", False, "a generic state was misclassified as ZNZD")
-        least_variation = min(least_variation, b_variation_over_gamma(state, direction, grid))
+    znzd = znzd_states(count, seed, nontrivial=True)
+    if any(is_znzd(state, direction) is not ZnzdClass.NONTRIVIAL for state, direction in znzd):
+        return SuiteResult("znzd", False, "a constructed ZNZD state was not classified as such")
+    generic = znzd_states(count, seed + 1, nontrivial=False)
+    if any(is_znzd(state, direction) is not ZnzdClass.NOT_ZNZD for state, direction in generic):
+        return SuiteResult("znzd", False, "a generic state was misclassified as ZNZD")
+    worst_invariance = float(np.max(b_variation_over_gamma(*stacked_pairs(znzd), grid),
+                                    initial=0.0))
+    least_variation = float(np.min(b_variation_over_gamma(*stacked_pairs(generic), grid),
+                                   initial=math.inf))
     return SuiteResult(
         name="znzd",
         passed=worst_invariance <= ZNZD_INVARIANCE_TOL and least_variation > ZNZD_VARIATION_FLOOR,

@@ -26,13 +26,14 @@ from seqmeas.coupling import GAMMA_MIN
 from seqmeas.montecarlo import crb_check, unbiasedness_check
 from seqmeas.verify import (
     default_setup,
-    random_setups,
+    random_scenarios,
     suite_oracle_equivalence,
     suite_round_trip,
     suite_znzd,
     znzd_states,
 )
 
+from test_coupling import row_setups
 from test_fisher import fd_fisher
 
 
@@ -104,7 +105,7 @@ def test_criterion_5_fisher_closed_forms():
 
     checked = 0
     worst_rel = 0.0
-    for setup in random_setups(800, seed=5150):
+    for setup in row_setups(random_scenarios(800, seed=5150)):
         p_m = meter_probabilities(setup)
         p_b = b_probabilities(setup)
         if min(p_m[0], p_m[1], p_b[0], p_b[1]) < 0.02:

@@ -20,7 +20,10 @@ from seqmeas import (
 )
 from seqmeas.correction import ensure_informative
 from seqmeas.coupling import GAMMA_MIN
-from seqmeas.verify import b_variation_over_gamma, random_setups, znzd_states
+from seqmeas.verify import (b_variation_over_gamma, random_scenarios, stacked_setup,
+                            znzd_states)
+
+from test_coupling import row_setups
 
 E1_DIR = make_direction(math.pi / 2, 0.0)
 E1_COUPLING = Coupling(math.sqrt(0.8))
@@ -36,8 +39,11 @@ def weights(coupling, direction=E1_DIR):
 
 
 def recovered_plus(w, f):
-    """The undisturbed probability of outcome +1 that the estimate ``w . f`` implies."""
-    return (1.0 + w @ f) / 2.0
+    """The undisturbed probability of outcome +1 that the estimate ``w . f`` implies.
+
+    For a stack of scenarios, ``w`` and ``f`` hold one column each and so does the result.
+    """
+    return (1.0 + np.sum(w * f, axis=0)) / 2.0
 
 
 def _random_cells(rng):
@@ -67,11 +73,11 @@ class TestRecoverA:
             weights(Coupling(GAMMA_MIN))
 
     def test_round_trip(self):
-        for setup in random_setups(1000, seed=71, gamma_range=(0.7072, 0.9999)):
-            w_a, _ = estimator_weights(setup)
-            law = joint_distribution(setup)
-            s2 = math.sin(setup.state.alpha) ** 2
-            assert recovered_plus(w_a, law) == pytest.approx(s2, abs=1e-12)
+        setup = stacked_setup(random_scenarios(1000, seed=71, gamma_range=(0.7072, 0.9999)))
+        w_a, _ = estimator_weights(setup)
+        law = joint_distribution(setup)
+        s2 = np.sin(setup.state.alpha) ** 2
+        np.testing.assert_allclose(recovered_plus(w_a, law), s2, rtol=0, atol=1e-12)
 
 
 class TestEstimateA:
@@ -131,7 +137,7 @@ class TestRecoverB:
             weights(Coupling(1.0))
 
     def test_round_trip(self):
-        for setup in random_setups(1000, seed=79, gamma_range=(0.715, 0.995)):
+        for setup in row_setups(random_scenarios(1000, seed=79, gamma_range=(0.715, 0.995))):
             _, w_b = estimator_weights(setup)
             law = joint_distribution(setup)
             born_plus = born_probability(setup.state, setup.b_dir, +1)
@@ -170,7 +176,7 @@ class TestEstimateB:
     def test_matches_recovered_distribution(self):
         # reference: rebuild the population-only part of the b law from the meter law,
         # subtract it and rescale the coherent remainder by deco
-        for setup in random_setups(300, seed=83, gamma_range=(0.72, 0.99)):
+        for setup in row_setups(random_scenarios(300, seed=83, gamma_range=(0.72, 0.99))):
             p_b, p_m, c = b_probabilities(setup), meter_probabilities(setup), setup.coupling
             half = 0.5 * setup.b_dir.theta
             n_hat = (math.cos(half) ** 2 * p_m[0] + math.sin(half) ** 2 * p_m[1]
@@ -228,7 +234,7 @@ class TestZnzd:
         # the one-call sweep reproduces max - min over validated per-gamma laws exactly
         pairs = znzd_states(20, seed=97, nontrivial=True)
         pairs += znzd_states(20, seed=101, nontrivial=False)
-        pairs += [(s.state, s.b_dir) for s in random_setups(20, seed=103)]
+        pairs += [(s.state, s.b_dir) for s in row_setups(random_scenarios(20, seed=103))]
         for state, direction in pairs:
             for points in (2, 7, 50):
                 values = [

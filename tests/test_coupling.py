@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,13 @@ from seqmeas import (
 from seqmeas import estimator_weights, expectation, oracle
 from seqmeas.coupling import GAMMA_MIN, JOINT_CELLS, b_law, meter_law
 from seqmeas.qubit import a_direction
-from seqmeas.verify import random_scenarios, random_setups, stacked_setup
+from seqmeas.verify import random_scenarios, stacked_setup
+
+
+def row_setups(scenarios):
+    """One setup per row of :func:`random_scenarios`, built through make_state and make_direction."""
+    return [JointSetup(make_state(alpha, phi), make_direction(theta, varphi), Coupling(gamma))
+            for alpha, phi, theta, varphi, gamma in scenarios.tolist()]
 
 
 def cell(law, m, b):
@@ -75,9 +83,9 @@ class TestEntangledState:
         np.testing.assert_allclose(entangled_state(setup), [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     def test_unit_norm(self):
-        for setup in random_setups(200, seed=41):
-            amps = entangled_state(setup)
-            assert np.vdot(amps, amps).real == pytest.approx(1.0, abs=1e-12)
+        amps = entangled_state(stacked_setup(random_scenarios(200, seed=41)))
+        assert amps.shape == (4, 200)
+        np.testing.assert_allclose(np.sum(np.abs(amps) ** 2, axis=0), 1.0, rtol=0, atol=1e-12)
 
 
 class TestMeterProbabilities:
@@ -99,7 +107,7 @@ class TestMeterProbabilities:
         assert p[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_equals_branch_norms(self):
-        for setup in random_setups(300, seed=43):
+        for setup in row_setups(random_scenarios(300, seed=43)):
             amps = entangled_state(setup)
             p = meter_probabilities(setup)
             assert p[0] == pytest.approx(abs(amps[0]) ** 2 + abs(amps[1]) ** 2, abs=1e-12)
@@ -161,7 +169,7 @@ class TestBProbabilities:
             assert p[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_equals_trace_with_projector(self):
-        for setup in random_setups(300, seed=47):
+        for setup in row_setups(random_scenarios(300, seed=47)):
             rho = post_measurement_density(setup)
             pi_plus = oracle.eigenprojectors(setup.b_dir)[+1]
             p = b_probabilities(setup)
@@ -184,7 +192,7 @@ class TestDecompose:
         assert decompose(setup)[1] == pytest.approx(0.4, abs=1e-12)
 
     def test_reconstruction_identity(self):
-        for setup in random_setups(300, seed=53):
+        for setup in row_setups(random_scenarios(300, seed=53)):
             independent_part, coherent_coefficient = decompose(setup)
             deco = setup.coupling.deco
             reconstructed = (1.0 - deco) * independent_part + deco * born_probability(
@@ -222,7 +230,7 @@ class TestJointDistribution:
             assert cell == pytest.approx(0.0, abs=1e-12)
 
     def test_marginals(self, worked_setup):
-        for setup in random_setups(300, seed=59) + [worked_setup]:
+        for setup in row_setups(random_scenarios(300, seed=59)) + [worked_setup]:
             law = joint_distribution(setup)
             p_m = meter_probabilities(setup)
             p_b = b_probabilities(setup)
@@ -234,7 +242,7 @@ class TestJointDistribution:
 
 class TestOracleEquivalence:
     def test_model_matches_tensor_simulation(self):
-        for setup in random_setups(1000, seed=61):
+        for setup in row_setups(random_scenarios(1000, seed=61)):
             ref = oracle.simulate(setup)
             p_m = meter_probabilities(setup)
             assert p_m[0] == pytest.approx(ref.meter_probs[0], abs=1e-10)
@@ -250,9 +258,20 @@ class TestOracleEquivalence:
                 for b in (+1, -1):
                     assert cell(law, m, b) == pytest.approx(ref.joint[(m, b)], abs=1e-10)
 
+    def test_the_oracle_imports_no_closed_form(self):
+        # the oracle shares only the scenario's types and the cell order with the model
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("seqmeas")):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names if alias.name.startswith("seqmeas"))
+        assert imported == {"JOINT_CELLS", "JointSetup", "ObservableDirection", "PureState"}
+
 
 def uniform_loop(count, seed, gamma_range):
-    """The per-scenario draws that random_setups made one rng.uniform call at a time."""
+    """The per-scenario draws, made one rng.uniform call at a time."""
     rng = np.random.default_rng(seed)
     return [(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, math.pi),
              rng.uniform(0.0, 2.0 * math.pi), rng.uniform(*gamma_range)) for _ in range(count)]
@@ -268,11 +287,19 @@ class TestScenarioStacks:
         assert random_scenarios(count, seed, gamma_range).tolist() == [list(row) for row in loop]
         expected = [JointSetup(make_state(a, p), make_direction(t, v), Coupling(g))
                     for a, p, t, v, g in loop]
-        assert random_setups(count, seed, gamma_range) == expected
+        assert row_setups(random_scenarios(count, seed, gamma_range)) == expected
+        # make_state and make_direction leave the drawn angles as they are, so the
+        # stacked setup, which skips them, holds the same scenarios
+        stack = stacked_setup(random_scenarios(count, seed, gamma_range))
+        columns = (stack.state.alpha, stack.state.phi, stack.b_dir.theta, stack.b_dir.varphi,
+                   stack.coupling.gamma)
+        assert np.column_stack(columns).tolist() == [
+            [s.state.alpha, s.state.phi, s.b_dir.theta, s.b_dir.varphi, s.coupling.gamma]
+            for s in expected]
 
     def test_the_stacked_oracle_equals_the_one_scenario_oracle(self):
         stack = oracle.simulate_stack(*random_scenarios(300, seed=67).T)
-        for k, setup in enumerate(random_setups(300, seed=67)):
+        for k, setup in enumerate(row_setups(random_scenarios(300, seed=67))):
             ref = oracle.simulate(setup)
             one = (ref.state, ref.meter_probs, ref.density, ref.b_probs, list(ref.joint.values()))
             for stacked, single in zip(stack, one):
@@ -284,7 +311,7 @@ class TestScenarioStacks:
         rho, (w_a, w_b) = post_measurement_density(stack), estimator_weights(stack)
         true_a = expectation(stack.state, a_direction())
         true_b = expectation(stack.state, stack.b_dir)
-        for k, setup in enumerate(random_setups(300, seed=71)):
+        for k, setup in enumerate(row_setups(random_scenarios(300, seed=71))):
             one_w_a, one_w_b = estimator_weights(setup)
             for stacked, single in [
                 (law[:, k], joint_distribution(setup)), (amplitudes[:, k], entangled_state(setup)),

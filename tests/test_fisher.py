@@ -24,7 +24,9 @@ from seqmeas import (
 from seqmeas.coupling import GAMMA_MIN
 from seqmeas.fisher import _information
 from seqmeas.qubit import a_direction
-from seqmeas.verify import random_setups
+from seqmeas.verify import random_scenarios
+
+from test_coupling import row_setups
 
 
 def fd_fisher(p_of_x, x0, h=1e-5):
@@ -86,7 +88,7 @@ class TestJointFisher:
         assert precisions(setup).i_B_joint == 0.0
 
     def test_closed_forms_from_paper_quantities(self):
-        for setup in random_setups(200, seed=103):
+        for setup in row_setups(random_scenarios(200, seed=103)):
             p_m = meter_probabilities(setup)
             p_b = b_probabilities(setup)
             if min(p_m[0], p_m[1], p_b[0], p_b[1]) <= 0.0:
@@ -123,7 +125,7 @@ class TestProjectiveFisher:
 class TestFiniteDifferenceOracle:
     def test_joint_fisher_matches_finite_differences(self):
         checked = 0
-        for setup in random_setups(600, seed=107):
+        for setup in row_setups(random_scenarios(600, seed=107)):
             p_m = meter_probabilities(setup)
             p_b = b_probabilities(setup)
             margin = 0.02
@@ -176,7 +178,7 @@ class TestPrecisions:
         assert report.eta == pytest.approx(report.i_B_joint / report.i_B_proj, abs=1e-12)
 
     def test_ratios_in_unit_interval(self):
-        for setup in random_setups(300, seed=109):
+        for setup in row_setups(random_scenarios(300, seed=109)):
             p_m = meter_probabilities(setup)
             p_b = b_probabilities(setup)
             pa = born_probability(setup.state, a_direction(), +1)
@@ -256,19 +258,17 @@ class TestTradeoffCurve:
         import seqmeas.fisher as fisher_mod
 
         calls = []
-        real_joint_law = fisher_mod.joint_law
+        real_joint_distribution = fisher_mod.joint_distribution
 
-        def counted(*args):
-            calls.append(args)
-            return real_joint_law(*args)
+        def counted(setup):
+            calls.append(setup)
+            return real_joint_distribution(setup)
 
-        def refused(setup):
-            raise AssertionError("the sweep must not build a per-row law")
-
-        monkeypatch.setattr(fisher_mod, "joint_law", counted)
-        monkeypatch.setattr(fisher_mod, "joint_distribution", refused)
+        monkeypatch.setattr(fisher_mod, "joint_distribution", counted)
         assert len(tradeoff_curve(*self.fig_args(), grid=50)) == 52
         assert len(calls) == 1
+        # the one call carries the whole sweep as a stacked coupling
+        assert calls[0].coupling.gamma.shape == (50,)
 
     def test_znzd_state_rejected(self):
         state = make_state(math.pi / 4, math.pi / 2)
@@ -287,14 +287,14 @@ class TestTradeoffCurve:
         import seqmeas.fisher as fisher_mod
 
         state, direction = self.fig_args()
-        real_joint_law = fisher_mod.joint_law
+        real_joint_distribution = fisher_mod.joint_distribution
 
-        def flaky(state, direction, gammas):
-            cells = real_joint_law(state, direction, gammas)
-            cells[:, abs(gammas - 0.85) < 0.01] = [[1.0], [0.0], [0.0], [0.0]]
+        def flaky(setup):
+            cells = real_joint_distribution(setup)
+            cells[:, abs(setup.coupling.gamma - 0.85) < 0.01] = [[1.0], [0.0], [0.0], [0.0]]
             return cells
 
-        monkeypatch.setattr(fisher_mod, "joint_law", flaky)
+        monkeypatch.setattr(fisher_mod, "joint_distribution", flaky)
         points = fisher_mod.tradeoff_curve(state, direction, grid=30)
         assert len(points) == 32
         invalid = [p for p in points if not math.isfinite(p.epsilon)]

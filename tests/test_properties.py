@@ -26,7 +26,6 @@ from seqmeas.coupling import (  # noqa: E402
     b_law,
     b_probabilities,
     joint_distribution,
-    joint_law,
     meter_law,
     meter_probabilities,
     post_measurement_density,
@@ -110,8 +109,8 @@ def test_closed_forms_match_the_oracle(setup):
     gammas=st.lists(st.floats(GAMMA_MIN, 1.0), min_size=1, max_size=20),
 )
 def test_the_array_law_equals_the_one_element_laws(setup, gammas):
-    # every cell of the sweep kernel is the cell of the one-scenario law, bit for bit
-    cells = joint_law(setup.state, setup.b_dir, np.array(gammas))
+    # every cell of the law at a stacked coupling is the cell of the one-scenario law, bit for bit
+    cells = joint_distribution(JointSetup(setup.state, setup.b_dir, Coupling(np.array(gammas))))
     assert cells.shape == (4, len(gammas))
     for k, gamma in enumerate(gammas):
         law = joint_distribution(JointSetup(setup.state, setup.b_dir, Coupling(gamma)))
@@ -162,7 +161,8 @@ def test_the_joint_law_and_its_marginals_are_laws(setup):
     gammas=st.lists(closed_gammas, min_size=1, max_size=20),
 )
 def test_the_array_law_and_its_marginals_are_laws(setup, gammas):
-    assert_is_a_law(joint_law(setup.state, setup.b_dir, np.array(gammas)))
+    stack = JointSetup(setup.state, setup.b_dir, Coupling(np.array(gammas)))
+    assert_is_a_law(joint_distribution(stack))
 
 
 @PROPERTY
