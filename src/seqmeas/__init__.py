@@ -33,7 +33,6 @@ from .errors import (
 )
 from .fisher import (
     FisherReport,
-    TradeoffPoint,
     cramer_rao_bound,
     fisher_a_proj,
     fisher_b_proj,

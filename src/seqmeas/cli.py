@@ -65,6 +65,9 @@ MAX_TRIALS = 10**10
 MAX_VERIFY_TRIALS = 10**7
 MAX_VERIFY_REPEATS = 500
 
+# Rows per ``%`` call of _render_rows: 512 ran as fast as 4096, with less RSS over many calls.
+_ROW_BLOCK = 512
+
 
 def _round9(x: float) -> float:
     return float(f"{x:.9g}") + 0.0  # +0.0 normalizes -0.0
@@ -121,25 +124,35 @@ def _render_report(report: dict, fmt: str) -> str:
 
 
 def _json_cell(value: float) -> str:
-    """``repr(_round9(value))``, or ``null`` when not finite, without parsing the text back."""
-    if not math.isfinite(value):
-        return "null"
-    text = _fmt9(value)
-    if "e" in text:  # repr writes exponents only outside [1e-4, 1e16): let it decide
-        return repr(float(text))
-    return text if "." in text else text + ".0"
+    """The text ``json.dumps(_jsonify(value))`` writes for one float."""
+    return repr(_round9(value)) if math.isfinite(value) else "null"
 
 
-def _render_rows(columns: list[str], rows: list[tuple], fmt: str) -> str:
+def _render_rows(columns: list[str], rows, fmt: str) -> str:
     """Rows of floats as CSV, or as the JSON text ``json.dumps(..., indent=2)`` writes."""
-    if fmt == "json":
-        names = (json.dumps(name).replace("%", "%%") for name in columns)
-        template = "  {\n" + ",\n".join(f"    {name}: %s" for name in names) + "\n  }"
-        body = ",\n".join(template % tuple(map(_json_cell, row)) for row in rows)
-        return f"[\n{body}\n]\n" if rows else "[]\n"
-    template = ",".join(["%s"] * len(columns))
-    lines = [",".join(columns), *(template % tuple(map(_csv_cell, row)) for row in rows)]
-    return "\n".join(lines) + "\n"
+    table = np.asarray(rows, dtype=float).reshape(-1, len(columns))
+    names = (json.dumps(name).replace("%", "%%") for name in columns)
+    json_row = ",\n  {\n" + ",\n".join(f"    {name}: %s" for name in names) + "\n  }"
+    csv_line = ",".join(["%.9g"] * len(columns)) + "\n"
+    parts = [",".join(columns) + "\n"] if fmt == "csv" else []  # joined once: one copy of the text
+    with np.errstate(invalid="ignore"):  # a signalling NaN, or inf - inf, sets numpy's flag
+        for start in range(0, len(table), _ROW_BLOCK):
+            values = (table[start:start + _ROW_BLOCK] + 0.0).ravel()  # +0.0 normalizes -0.0
+            flat = values.tolist()
+            if fmt == "csv":
+                parts.append((csv_line * (len(flat) // len(columns))) % tuple(flat))
+                continue
+            cells = (("%.9g " * len(flat)) % tuple(flat)).split()
+            # _json_cell for a superset of the cells whose text is inf/nan, has an "e" or no "."
+            magnitude = np.abs(values)
+            odd = (~np.isfinite(values) | (magnitude < 1e-4) | (magnitude >= 1e8)
+                   | (np.abs(values - np.rint(values)) <= 1e-8 * np.maximum(1.0, magnitude)))
+            for i in np.flatnonzero(odd).tolist():
+                cells[i] = _json_cell(flat[i])
+            parts.append((json_row * (len(flat) // len(columns))) % tuple(cells))
+    if fmt == "json":  # the first row opens the list instead of following a row
+        parts = ["[" + parts[0][1:], *parts[1:], "\n]\n"] if parts else ["[]\n"]
+    return "".join(parts)
 
 
 def _state_and_direction(args: argparse.Namespace) -> tuple[dict, PureState, ObservableDirection]:
@@ -245,7 +258,7 @@ def cmd_znzd(args: argparse.Namespace, out: TextIO) -> int:
               if is_znzd(s, direction, tol=tol) is not ZnzdClass.TRIVIAL]
     phis = [s.phi for s in (make_state(alphas[0], 2.0 * math.pi * i / n) for i in range(n))
             if is_znzd(s, direction, tol=tol) is ZnzdClass.NONTRIVIAL] if alphas else []
-    rows = [(alpha, phi) for phi in phis for alpha in alphas]
+    rows = np.column_stack([np.tile(alphas, len(phis)), np.repeat(phis, len(alphas))])
     out.write(_render_rows(["alpha", "phi"], rows, args.fmt))
     return 0
 

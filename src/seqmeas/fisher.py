@@ -15,7 +15,6 @@ and trade off against each other as the coupling strength varies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,15 +42,6 @@ class FisherReport:
     i_B_joint: float
     i_A_proj: float
     i_B_proj: float
-    epsilon: float
-    eta: float
-
-
-class TradeoffPoint(NamedTuple):
-    """One row of the precision trade-off sweep."""
-
-    gamma: float
-    kappa: float
     epsilon: float
     eta: float
 
@@ -121,12 +111,11 @@ def cramer_rao_bound(fi: float, trials: int) -> float:
     return 1.0 / (trials * fi)
 
 
-def tradeoff_curve(
-    state: PureState, direction: ObservableDirection, grid: int
-) -> list[TradeoffPoint]:
+def tradeoff_curve(state: PureState, direction: ObservableDirection, grid: int) -> np.ndarray:
     """Sweep the coupling and tabulate the precision pair (epsilon, eta).
 
-    Rows are ``grid`` couplings uniform on the open interval plus exact
+    Returns a ``(grid + 2, 4)`` float64 array whose columns are gamma, kappa,
+    epsilon and eta.  Rows are ``grid`` couplings uniform on the open interval plus exact
     endpoint rows carrying the analytic limits (0, 1) and (1, 0); the
     formula path is never evaluated at the endpoints themselves.  Rows whose
     distributions degenerate carry nan for epsilon and eta rather than
@@ -153,6 +142,5 @@ def tradeoff_curve(
     m_plus[degenerate] = b_plus[degenerate] = np.nan  # nan rows: the information diverges
     epsilons = _binary_information(m_plus, m_minus, 0.5 * sweep.kappa) / i_a_proj
     etas = _binary_information(b_plus, b_minus, 0.5 * sweep.deco) / i_b_proj
-    rows = zip(*(a.tolist() for a in (sweep.gamma, sweep.kappa, epsilons, etas)))
-    return [TradeoffPoint(GAMMA_MIN, 0.0, 0.0, 1.0), *(TradeoffPoint(*row) for row in rows),
-            TradeoffPoint(1.0, 1.0, 1.0, 0.0)]
+    rows = np.column_stack([sweep.gamma, sweep.kappa, epsilons, etas])
+    return np.vstack([(GAMMA_MIN, 0.0, 0.0, 1.0), rows, (1.0, 1.0, 1.0, 0.0)])

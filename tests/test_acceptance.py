@@ -9,6 +9,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
 from seqmeas import (
@@ -145,20 +146,18 @@ def test_criterion_5_fisher_closed_forms():
 def test_criterion_6_tradeoff_reproduction():
     state = make_state(math.pi / 6, 0.0)
     direction = make_direction(math.pi / 3, 0.0)  # varphi = phi = 0
-    points = tradeoff_curve(state, direction, grid=100)
-    first, last = points[0], points[-1]
+    rows = tradeoff_curve(state, direction, grid=100)
+    gamma, _, eps, eta = rows.T
     endpoints_ok = (
-        (first.gamma, first.epsilon, first.eta) == (GAMMA_MIN, 0.0, 1.0)
-        and (last.gamma, last.epsilon, last.eta) == (1.0, 1.0, 0.0)
+        (gamma[0], eps[0], eta[0]) == (GAMMA_MIN, 0.0, 1.0)
+        and (gamma[-1], eps[-1], eta[-1]) == (1.0, 1.0, 0.0)
     )
-    monotone_ok = all(
-        b.epsilon > a.epsilon and b.eta < a.eta for a, b in zip(points, points[1:])
-    )
+    monotone_ok = bool((np.diff(eps) > 0).all() and (np.diff(eta) < 0).all())
     conclude(
         6,
         "trade-off reproduction",
-        endpoints_ok and monotone_ok and all(math.isfinite(p.epsilon) for p in points),
-        f"{len(points)} rows, endpoints {endpoints_ok}, strict monotone {monotone_ok}",
+        endpoints_ok and monotone_ok and bool(np.isfinite(eps).all()),
+        f"{len(rows)} rows, endpoints {endpoints_ok}, strict monotone {monotone_ok}",
     )
 
 

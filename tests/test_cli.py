@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import struct
 import sys
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 from seqmeas import verify
 from seqmeas import cli
 from seqmeas.cli import (MAX_GRID, MAX_SCAN_POINTS, MAX_TRIALS, MAX_VERIFY_REPEATS,
-                         MAX_VERIFY_TRIALS, _render_report, _render_rows, main)
+                         MAX_VERIFY_TRIALS, _csv_cell, _jsonify, _render_report, _render_rows,
+                         main)
 from seqmeas.correction import ZnzdClass, is_znzd
 from seqmeas.qubit import make_direction, make_state
 
@@ -259,6 +261,24 @@ class TestTradeoff:
         (row,) = strict_json(_render_rows(columns, rows, "json"))
         assert row == {"gamma": 0.8, "kappa": 0.6, "epsilon": None, "eta": None}
         assert _render_rows(columns, rows, "csv") == "gamma,kappa,epsilon,eta\n0.8,0.6,nan,nan\n"
+
+
+SIGNALLING_NAN = struct.unpack("<d", (0x7FF0000000000001).to_bytes(8, "little"))[0]
+BLOCK_CELLS = [SIGNALLING_NAN, -0.0, 5e-324, -2.2e-310, 3.0 - 1e-9, 0.99999999996, 99999999.99,
+               1e9, 12345.0, 0.25, -7.125e-5, 1e-4, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_rows_around_one_block_render_as_the_json_encoder_and_the_csv_cells_do(extra):
+    # the renderer formats cli._ROW_BLOCK rows per call: the rows on both sides of a block's end
+    columns = ["gamma", "kappa", "epsilon"]
+    rows = [[BLOCK_CELLS[(2 * i + j) % len(BLOCK_CELLS)] for j in range(len(columns))]
+            for i in range(cli._ROW_BLOCK + extra)]
+    json_text = json.dumps(_jsonify([dict(zip(columns, row)) for row in rows]), indent=2) + "\n"
+    csv_lines = [",".join(columns), *(",".join(map(_csv_cell, row)) for row in rows)]
+    for table in (rows, np.array(rows)):
+        assert _render_rows(columns, table, "json") == json_text
+        assert _render_rows(columns, table, "csv") == "\n".join(csv_lines) + "\n"
 
 
 _SCAN_RNG = random.Random(8)

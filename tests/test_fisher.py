@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from seqmeas import (
@@ -216,19 +217,18 @@ class TestTradeoffCurve:
 
     def test_endpoint_rows(self):
         state, direction = self.fig_args()
-        points = tradeoff_curve(state, direction, grid=10)
-        assert len(points) == 12
-        first, last = points[0], points[-1]
-        assert (first.gamma, first.kappa, first.epsilon, first.eta) == (GAMMA_MIN, 0.0, 0.0, 1.0)
-        assert (last.gamma, last.kappa, last.epsilon, last.eta) == (1.0, 1.0, 1.0, 0.0)
+        rows = tradeoff_curve(state, direction, grid=10)
+        assert len(rows) == 12
+        assert rows.dtype == np.float64 and rows.shape == (12, 4)
+        assert tuple(rows[0]) == (GAMMA_MIN, 0.0, 0.0, 1.0)
+        assert tuple(rows[-1]) == (1.0, 1.0, 1.0, 0.0)
 
     def test_strict_monotonicity(self):
         state, direction = self.fig_args()
-        points = tradeoff_curve(state, direction, grid=100)
-        assert all(math.isfinite(p.epsilon) for p in points)
-        for a, b in zip(points, points[1:]):
-            assert b.epsilon > a.epsilon
-            assert b.eta < a.eta
+        _, _, eps, eta = tradeoff_curve(state, direction, grid=100).T
+        assert np.isfinite(eps).all()
+        assert (np.diff(eps) > 0).all()
+        assert (np.diff(eta) < 0).all()
 
     def test_small_grid(self):
         with pytest.raises(InvalidParameter):
@@ -247,12 +247,12 @@ class TestTradeoffCurve:
 
         monkeypatch.setattr(fisher_mod, "born_probability", counted)
         state, direction = self.fig_args()
-        points = tradeoff_curve(state, direction, grid=50)
+        rows = tradeoff_curve(state, direction, grid=50)
         assert len(calls) == 4
         # each row is bit-identical to the single-scenario precisions
-        for p in points[1:-1]:
-            report = precisions(JointSetup(state, direction, Coupling(p.gamma)))
-            assert (p.epsilon, p.eta) == (report.epsilon, report.eta)
+        for gamma, _, eps, eta in rows[1:-1].tolist():
+            report = precisions(JointSetup(state, direction, Coupling(gamma)))
+            assert (eps, eta) == (report.epsilon, report.eta)
 
     def test_all_rows_come_from_one_kernel_call(self, monkeypatch):
         import seqmeas.fisher as fisher_mod
@@ -295,9 +295,10 @@ class TestTradeoffCurve:
             return cells
 
         monkeypatch.setattr(fisher_mod, "joint_distribution", flaky)
-        points = fisher_mod.tradeoff_curve(state, direction, grid=30)
-        assert len(points) == 32
-        invalid = [p for p in points if not math.isfinite(p.epsilon)]
-        assert invalid
-        assert all(math.isnan(p.epsilon) and math.isnan(p.eta) for p in invalid)
-        assert all(math.isfinite(p.epsilon) for p in (points[0], points[-1]))
+        rows = fisher_mod.tradeoff_curve(state, direction, grid=30)
+        assert len(rows) == 32
+        _, _, eps, eta = rows.T
+        invalid = ~np.isfinite(eps)
+        assert invalid.any()
+        assert np.isnan(eps[invalid]).all() and np.isnan(eta[invalid]).all()
+        assert np.isfinite(eps[[0, -1]]).all()

@@ -203,6 +203,10 @@ def test_rows_render_as_the_json_encoder_and_the_csv_cells_do(table):
     assert _render_rows(columns, rows, "json") == json.dumps(_jsonify(payload), indent=2) + "\n"
     lines = [",".join(columns), *(",".join(_csv_cell(v) for v in row) for row in rows)]
     assert _render_rows(columns, rows, "csv") == "\n".join(lines) + "\n"
+    # the same table as a float64 (n, k) array renders the same text
+    table = np.array(rows, dtype=float).reshape(len(rows), len(columns))
+    assert _render_rows(columns, table, "json") == json.dumps(_jsonify(payload), indent=2) + "\n"
+    assert _render_rows(columns, table, "csv") == "\n".join(lines) + "\n"
     # one format call prints what formatting, parsing back and formatting again printed
     for v in (v for row in rows for v in row):
         assert _fmt9(v) == f"{float(f'{v:.9g}') + 0.0:.9g}"
