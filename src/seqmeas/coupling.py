@@ -74,7 +74,7 @@ class Coupling:
         if not math.isfinite(kappa) or kappa < -_GAMMA_SLACK or kappa > 1.0 + _GAMMA_SLACK:
             raise InvalidParameter(f"kappa must lie in [0, 1], got {kappa!r}")
         kappa = min(1.0, max(0.0, kappa))
-        return Coupling(math.sqrt((1.0 + kappa) / 2.0))
+        return Coupling(math.sqrt(1.0 + kappa) * GAMMA_MIN)  # exact at kappa = 0 and at 1
 
 
 @dataclass(frozen=True)

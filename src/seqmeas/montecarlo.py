@@ -107,17 +107,6 @@ class TrialBatch:
 
     counts: tuple[int, int, int, int]
     trials: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise InvalidParameter(f"trials must be >= 1, got {self.trials!r}")
-        if any(c < 0 for c in self.counts):
-            raise InvalidParameter(f"counts must be non-negative, got {self.counts!r}")
-        if sum(self.counts) != self.trials:
-            raise InvalidParameter(
-                f"counts {self.counts!r} do not sum to trials {self.trials!r}"
-            )
 
     def frequencies(self) -> np.ndarray:
         return np.array(self.counts, dtype=float) / self.trials
@@ -197,7 +186,7 @@ def sample(setup: JointSetup, trials: int, seed: int, workers: int = 1) -> Trial
     if errors:
         raise errors[0]
     counts = sum(parts)
-    return TrialBatch(counts=tuple(int(c) for c in counts), trials=trials, seed=seed)
+    return TrialBatch(counts=tuple(int(c) for c in counts), trials=trials)
 
 
 def _affine_variance(weights: np.ndarray, probs: np.ndarray, n: int) -> float:

@@ -12,7 +12,7 @@ import pytest
 from seqmeas import verify
 from seqmeas import cli
 from seqmeas.cli import (MAX_GRID, MAX_SCAN_POINTS, MAX_TRIALS, MAX_VERIFY_REPEATS,
-                         MAX_VERIFY_TRIALS, _csv_cell, _jsonify, _render_report, _render_rows,
+                         MAX_VERIFY_TRIALS, _csv_cell, _jsonify, _render_report, _write_rows,
                          main)
 from seqmeas.correction import ZnzdClass, is_znzd
 from seqmeas.qubit import make_direction, make_state
@@ -44,6 +44,25 @@ def strict_json(text):
         raise ValueError(f"non-standard JSON constant {constant}")
 
     return json.loads(text, parse_constant=refuse)
+
+
+class RecordingOut(io.StringIO):
+    """A text stream that keeps the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def written_rows(columns, rows, fmt):
+    """The text ``_write_rows`` writes for one table."""
+    out = io.StringIO()
+    _write_rows(out, columns, rows, fmt)
+    return out.getvalue()
 
 
 @pytest.fixture
@@ -258,9 +277,9 @@ class TestTradeoff:
     def test_invalid_rows_render_as_null(self):
         rows = [[0.8, 0.6, math.nan, math.nan]]
         columns = ["gamma", "kappa", "epsilon", "eta"]
-        (row,) = strict_json(_render_rows(columns, rows, "json"))
+        (row,) = strict_json(written_rows(columns, rows, "json"))
         assert row == {"gamma": 0.8, "kappa": 0.6, "epsilon": None, "eta": None}
-        assert _render_rows(columns, rows, "csv") == "gamma,kappa,epsilon,eta\n0.8,0.6,nan,nan\n"
+        assert written_rows(columns, rows, "csv") == "gamma,kappa,epsilon,eta\n0.8,0.6,nan,nan\n"
 
 
 SIGNALLING_NAN = struct.unpack("<d", (0x7FF0000000000001).to_bytes(8, "little"))[0]
@@ -268,17 +287,36 @@ BLOCK_CELLS = [SIGNALLING_NAN, -0.0, 5e-324, -2.2e-310, 3.0 - 1e-9, 0.9999999999
                1e9, 12345.0, 0.25, -7.125e-5, 1e-4, math.inf, -math.inf, math.nan]
 
 
-@pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_rows_around_one_block_render_as_the_json_encoder_and_the_csv_cells_do(extra):
-    # the renderer formats cli._ROW_BLOCK rows per call: the rows on both sides of a block's end
+ROW_BLOCK = cli._ROW_BLOCK
+
+
+@pytest.mark.parametrize("count", [
+    pytest.param(ROW_BLOCK - 1, id="-1"), pytest.param(ROW_BLOCK, id="0"),
+    pytest.param(ROW_BLOCK + 1, id="1"), pytest.param(0, id="no_rows"),
+    pytest.param(1, id="one_row"), pytest.param(3 * ROW_BLOCK + 1, id="three_blocks_and_one"),
+])
+def test_rows_around_one_block_render_as_the_json_encoder_and_the_csv_cells_do(count):
+    # the writer formats and writes cli._ROW_BLOCK rows at a time: tables on both sides of a
+    # block's end, and tables of no rows, one row and more than three blocks
     columns = ["gamma", "kappa", "epsilon"]
     rows = [[BLOCK_CELLS[(2 * i + j) % len(BLOCK_CELLS)] for j in range(len(columns))]
-            for i in range(cli._ROW_BLOCK + extra)]
-    json_text = json.dumps(_jsonify([dict(zip(columns, row)) for row in rows]), indent=2) + "\n"
-    csv_lines = [",".join(columns), *(",".join(map(_csv_cell, row)) for row in rows)]
+            for i in range(count)]
+    texts = {
+        "json": lambda rows: json.dumps(_jsonify([dict(zip(columns, r)) for r in rows]),
+                                        indent=2) + "\n",
+        "csv": lambda rows: "\n".join([",".join(columns),
+                                       *(",".join(map(_csv_cell, r)) for r in rows)]) + "\n",
+    }
+    blocks = [rows[start:start + ROW_BLOCK] for start in range(0, count, ROW_BLOCK)]
     for table in (rows, np.array(rows)):
-        assert _render_rows(columns, table, "json") == json_text
-        assert _render_rows(columns, table, "csv") == "\n".join(csv_lines) + "\n"
+        for fmt, text_of in texts.items():
+            out = RecordingOut()
+            _write_rows(out, columns, table, fmt)
+            assert out.getvalue() == text_of(rows)
+            # each block is written as it is made: no write holds more than one block's text
+            assert max(out.sizes) <= max((len(text_of(block)) for block in blocks),
+                                         default=len(text_of(rows)))
+            assert len(out.sizes) >= len(blocks)
 
 
 _SCAN_RNG = random.Random(8)
@@ -344,7 +382,7 @@ class TestZnzd:
                 "--tol", repr(tol), "--scan-points", str(points), "--format", fmt,
             ])
             assert code == 0
-            assert out == _render_rows(["alpha", "phi"], rows, fmt)
+            assert out == written_rows(["alpha", "phi"], rows, fmt)
 
     @pytest.mark.parametrize("tol", ["0", "nan", "-1"])
     def test_scan_rejects_a_nonpositive_tol(self, capsys, tol):

@@ -65,6 +65,13 @@ class TestCoupling:
         with pytest.raises(InvalidParameter):
             Coupling.from_kappa(1.5)
 
+    def test_from_kappa_endpoints_are_exact(self):
+        # kappa = 0 is gamma = 1/sqrt(2) itself, not an ulp above it, and kappa = 1 is deco = 0
+        weakest = Coupling.from_kappa(0.0)
+        assert weakest.gamma == GAMMA_MIN
+        assert weakest.kappa == 0.0
+        assert Coupling.from_kappa(1.0).deco == 0.0
+
 
 class TestEntangledState:
     def test_eigenstate_example(self):

@@ -257,16 +257,6 @@ class TestChunkBuffers:
         assert seen == {seed: {counts} for seed, counts in expected.items()}
 
 
-class TestTrialBatch:
-    def test_counts_must_sum(self):
-        with pytest.raises(InvalidParameter):
-            TrialBatch(counts=(1, 2, 3, 4), trials=11, seed=0)
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(InvalidParameter):
-            TrialBatch(counts=(-1, 6, 3, 2), trials=10, seed=0)
-
-
 class TestEstimate:
     def test_plug_in_consistency_exact_batch(self):
         # theta=0, gamma^2=0.8, sin^2 a = 0.25: joint cells are (0.2, 0.15, 0.05, 0.6)
@@ -275,13 +265,13 @@ class TestEstimate:
         )
         law = joint_distribution(setup)
         np.testing.assert_allclose(law, [0.2, 0.15, 0.05, 0.6], atol=1e-12)
-        batch = TrialBatch(counts=(20, 15, 5, 60), trials=100, seed=0)
+        batch = TrialBatch(counts=(20, 15, 5, 60), trials=100)
         stats = estimate(batch, estimator_weights(setup))
         assert stats.est_A == pytest.approx(-0.5, abs=1e-12)
         assert stats.est_B == pytest.approx(-0.5, abs=1e-12)
 
     def test_ideal_proportions_scenario(self, worked_setup):
-        batch = TrialBatch(counts=(348205, 1795, 498205, 151795), trials=1_000_000, seed=0)
+        batch = TrialBatch(counts=(348205, 1795, 498205, 151795), trials=1_000_000)
         stats = estimate(batch, estimator_weights(worked_setup))
         assert stats.est_A == pytest.approx(-0.5, abs=1e-12)
         assert stats.est_B == pytest.approx(math.sqrt(3) / 2, abs=1e-6)
@@ -290,7 +280,7 @@ class TestEstimate:
         setup = JointSetup(
             make_state(math.pi / 6, 0.0), make_direction(math.pi / 2, 0.0), Coupling(math.sqrt(0.8))
         )
-        batch = TrialBatch(counts=(1, 0, 0, 0), trials=1, seed=0)
+        batch = TrialBatch(counts=(1, 0, 0, 0), trials=1)
         stats = estimate(batch, estimator_weights(setup))
         assert stats.est_A == pytest.approx(1.0 / 0.6, abs=1e-9)
         assert stats.est_B == pytest.approx(1.25, abs=1e-9)
@@ -306,7 +296,7 @@ class TestEstimate:
 
     def test_degenerate_couplings_refuse(self):
         state, direction = make_state(0.6, 0.0), make_direction(1.0, 0.0)
-        batch = TrialBatch(counts=(2, 3, 4, 1), trials=10, seed=0)
+        batch = TrialBatch(counts=(2, 3, 4, 1), trials=10)
         # the weights an estimate needs refuse the coupling
         with pytest.raises(DegenerateCoupling, match="A channel"):
             estimate(batch, estimator_weights(JointSetup(state, direction, Coupling(GAMMA_MIN))))

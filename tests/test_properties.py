@@ -16,7 +16,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from seqmeas import oracle  # noqa: E402
-from seqmeas.cli import _csv_cell, _fmt9, _jsonify, _render_rows  # noqa: E402
+from seqmeas.cli import _csv_cell, _fmt9, _jsonify  # noqa: E402
 from seqmeas.correction import estimator_weights  # noqa: E402
 from seqmeas.coupling import (  # noqa: E402
     GAMMA_MIN,
@@ -39,6 +39,7 @@ from seqmeas.qubit import (  # noqa: E402
     make_state,
 )
 from seqmeas.verify import RANDOM_GAMMA_RANGE  # noqa: E402
+from test_cli import written_rows  # noqa: E402
 from test_montecarlo import defined_counts, reference_uniform  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -200,13 +201,13 @@ tables = st.lists(column_names, min_size=1, max_size=5, unique=True).flatmap(
 def test_rows_render_as_the_json_encoder_and_the_csv_cells_do(table):
     columns, rows = table
     payload = [dict(zip(columns, row)) for row in rows]
-    assert _render_rows(columns, rows, "json") == json.dumps(_jsonify(payload), indent=2) + "\n"
+    assert written_rows(columns, rows, "json") == json.dumps(_jsonify(payload), indent=2) + "\n"
     lines = [",".join(columns), *(",".join(_csv_cell(v) for v in row) for row in rows)]
-    assert _render_rows(columns, rows, "csv") == "\n".join(lines) + "\n"
+    assert written_rows(columns, rows, "csv") == "\n".join(lines) + "\n"
     # the same table as a float64 (n, k) array renders the same text
     table = np.array(rows, dtype=float).reshape(len(rows), len(columns))
-    assert _render_rows(columns, table, "json") == json.dumps(_jsonify(payload), indent=2) + "\n"
-    assert _render_rows(columns, table, "csv") == "\n".join(lines) + "\n"
+    assert written_rows(columns, table, "json") == json.dumps(_jsonify(payload), indent=2) + "\n"
+    assert written_rows(columns, table, "csv") == "\n".join(lines) + "\n"
     # one format call prints what formatting, parsing back and formatting again printed
     for v in (v for row in rows for v in row):
         assert _fmt9(v) == f"{float(f'{v:.9g}') + 0.0:.9g}"
