@@ -34,7 +34,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .correction import ZNZD_TOL, ZnzdClass, check_tol, estimator_weights, is_znzd
+from .correction import ZNZD_TOL, check_tol, estimator_weights, is_znzd, znzd_masks
 from .coupling import (
     Coupling,
     JointSetup,
@@ -254,13 +254,12 @@ def cmd_znzd(args: argparse.Namespace, out: TextIO) -> int:
         }
         out.write(_render_report(report, args.fmt))
         return 0
-    # nontrivial = alpha passes the trivial test and phi the cos test: classify each axis once
-    n, tol = args.scan_points, args.tol
-    alphas = [s.alpha for s in (make_state(math.pi * j / n, 0.0) for j in range(1, n))
-              if is_znzd(s, direction, tol=tol) is not ZnzdClass.TRIVIAL]
-    phis = [s.phi for s in (make_state(alphas[0], 2.0 * math.pi * i / n) for i in range(n))
-            if is_znzd(s, direction, tol=tol) is ZnzdClass.NONTRIVIAL] if alphas else []
-    rows = np.column_stack([np.tile(alphas, len(phis)), np.repeat(phis, len(alphas))])
+    # the (phi, alpha) grid, phi-major: make_state's reduction leaves these angles as they are
+    n = args.scan_points
+    grid = PureState(math.pi * np.arange(1, n) / n, 2.0 * math.pi * np.arange(n)[:, None] / n)
+    _, nontrivial = znzd_masks(grid, direction, tol=args.tol)
+    rows = np.column_stack([np.broadcast_to(angle, nontrivial.shape)[nontrivial]
+                            for angle in (grid.alpha, grid.phi)])
     _write_rows(out, ["alpha", "phi"], rows, args.fmt)
     return 0
 

@@ -86,19 +86,24 @@ def check_tol(tol: float) -> float:
     return tol
 
 
-def is_znzd(state: PureState, direction: ObservableDirection, tol: float = ZNZD_TOL) -> ZnzdClass:
-    """Classify whether the pre-measurement disturbs the second measurement.
+def znzd_masks(state: PureState, direction: ObservableDirection, tol: float = ZNZD_TOL):
+    """Boolean masks ``(trivial, nontrivial)`` of the ZNZD classes, for one pair or a stack.
 
     The coherent term carries the factor
     ``sin(2 alpha) sin(theta) cos(varphi - phi)``.  It vanishes trivially
     when the state is an eigenstate of the first observable or the two
     observables commute; it vanishes nontrivially, for non-commuting
     observables and a non-eigenstate, exactly when ``cos(varphi - phi) = 0``.
+    ``trivial`` has the broadcast shape of alpha and theta, ``nontrivial`` that of all four.
     """
     check_tol(tol)
     sin_two_alpha, sin_theta, cos_delta = angular_factors(state, direction)
-    if abs(sin_two_alpha) <= tol or abs(sin_theta) <= tol:
-        return ZnzdClass.TRIVIAL
-    if abs(cos_delta) <= tol:
-        return ZnzdClass.NONTRIVIAL
-    return ZnzdClass.NOT_ZNZD
+    trivial = (np.abs(sin_two_alpha) <= tol) | (np.abs(sin_theta) <= tol)
+    return trivial, ~trivial & (np.abs(cos_delta) <= tol)
+
+
+def is_znzd(state: PureState, direction: ObservableDirection, tol: float = ZNZD_TOL) -> ZnzdClass:
+    """Classify whether the pre-measurement disturbs the second measurement (:func:`znzd_masks`)."""
+    trivial, nontrivial = znzd_masks(state, direction, tol)
+    return (ZnzdClass.TRIVIAL if trivial else ZnzdClass.NONTRIVIAL if nontrivial
+            else ZnzdClass.NOT_ZNZD)

@@ -36,7 +36,7 @@ ENDPOINT_OFFSET = 1e-6
 
 @dataclass(frozen=True)
 class FisherReport:
-    """The four Fisher informations of one scenario and the precision ratios."""
+    """The four Fisher informations and the precision ratios; arrays for a stacked coupling."""
 
     i_A_joint: float
     i_B_joint: float
@@ -86,12 +86,21 @@ def fisher_b_proj(state: PureState, direction: ObservableDirection) -> float:
 
 
 def precisions(setup: JointSetup) -> FisherReport:
-    """Fisher informations of the scenario and the precision ratios epsilon, eta."""
-    law = joint_distribution(setup)
-    i_a_joint = _meter_information(law, setup.coupling)
-    i_b_joint = _b_information(law, setup.coupling)
+    """Fisher informations and the ratios epsilon, eta, for one scenario or a stacked coupling.
+
+    The projective informations come first, so an eigenstate of either observable raises
+    :class:`DegenerateDistribution`; where a marginal of the joint law rounds to a certainty,
+    both joint informations and both ratios are nan.
+    """
     i_a_proj = fisher_a_proj(setup.state)
     i_b_proj = fisher_b_proj(setup.state, setup.b_dir)
+    law = joint_distribution(setup)
+    (m_plus, m_minus), (b_plus, b_minus) = meter_law(law), b_law(law)
+    degenerate = (m_plus <= 0.0) | (m_plus >= 1.0) | (b_plus <= 0.0) | (b_plus >= 1.0)
+    # nan where the information diverges
+    m_plus, b_plus = np.where(degenerate, np.nan, m_plus), np.where(degenerate, np.nan, b_plus)
+    i_a_joint = _binary_information(m_plus, m_minus, 0.5 * setup.coupling.kappa)
+    i_b_joint = _binary_information(b_plus, b_minus, 0.5 * setup.coupling.deco)
     return FisherReport(
         i_A_joint=i_a_joint,
         i_B_joint=i_b_joint,
@@ -125,22 +134,14 @@ def tradeoff_curve(state: PureState, direction: ObservableDirection, grid: int) 
     """
     if grid < 2:
         raise InvalidParameter(f"grid must be >= 2, got {grid!r}")
+    lo, hi = GAMMA_MIN + ENDPOINT_OFFSET, 1.0 - ENDPOINT_OFFSET
+    sweep = Coupling(lo + (hi - lo) * np.arange(grid) / (grid - 1))
     # Fails with DegenerateDistribution for eigenstates of either observable.
-    i_a_proj = fisher_a_proj(state)
-    i_b_proj = fisher_b_proj(state, direction)
+    report = precisions(JointSetup(state, direction, sweep))
     if is_znzd(state, direction) is not ZnzdClass.NOT_ZNZD:
         raise InvalidParameter(
             "the second measurement's statistics are coupling-invariant for "
             "this state and observable (ZNZD); the precision sweep is undefined"
         )
-
-    lo, hi = GAMMA_MIN + ENDPOINT_OFFSET, 1.0 - ENDPOINT_OFFSET
-    sweep = Coupling(lo + (hi - lo) * np.arange(grid) / (grid - 1))
-    cells = joint_distribution(JointSetup(state, direction, sweep))
-    (m_plus, m_minus), (b_plus, b_minus) = meter_law(cells), b_law(cells)
-    degenerate = (m_plus <= 0.0) | (m_plus >= 1.0) | (b_plus <= 0.0) | (b_plus >= 1.0)
-    m_plus[degenerate] = b_plus[degenerate] = np.nan  # nan rows: the information diverges
-    epsilons = _binary_information(m_plus, m_minus, 0.5 * sweep.kappa) / i_a_proj
-    etas = _binary_information(b_plus, b_minus, 0.5 * sweep.deco) / i_b_proj
-    rows = np.column_stack([sweep.gamma, sweep.kappa, epsilons, etas])
+    rows = np.column_stack([sweep.gamma, sweep.kappa, report.epsilon, report.eta])
     return np.vstack([(GAMMA_MIN, 0.0, 0.0, 1.0), rows, (1.0, 1.0, 1.0, 0.0)])

@@ -14,13 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import oracle
-from .correction import (
-    ZnzdClass,
-    ensure_informative,
-    ensure_nonprojective,
-    estimator_weights,
-    is_znzd,
-)
+from .correction import ensure_informative, ensure_nonprojective, estimator_weights, znzd_masks
 from .coupling import (
     GAMMA_MIN,
     Coupling,
@@ -245,16 +239,14 @@ def b_variation_over_gamma(state, direction, points: int = 50):
 
 def suite_znzd(count: int = 100, seed: int = 4, grid: int = 50) -> SuiteResult:
     """Coupling invariance of b statistics exactly on the ZNZD locus."""
-    znzd = znzd_states(count, seed, nontrivial=True)
-    if any(is_znzd(state, direction) is not ZnzdClass.NONTRIVIAL for state, direction in znzd):
+    znzd = stacked_pairs(znzd_states(count, seed, nontrivial=True))
+    if not znzd_masks(*znzd)[1].all():
         return SuiteResult("znzd", False, "a constructed ZNZD state was not classified as such")
-    generic = znzd_states(count, seed + 1, nontrivial=False)
-    if any(is_znzd(state, direction) is not ZnzdClass.NOT_ZNZD for state, direction in generic):
+    generic = stacked_pairs(znzd_states(count, seed + 1, nontrivial=False))
+    if np.logical_or(*znzd_masks(*generic)).any():
         return SuiteResult("znzd", False, "a generic state was misclassified as ZNZD")
-    worst_invariance = float(np.max(b_variation_over_gamma(*stacked_pairs(znzd), grid),
-                                    initial=0.0))
-    least_variation = float(np.min(b_variation_over_gamma(*stacked_pairs(generic), grid),
-                                   initial=math.inf))
+    worst_invariance = float(np.max(b_variation_over_gamma(*znzd, grid), initial=0.0))
+    least_variation = float(np.min(b_variation_over_gamma(*generic, grid), initial=math.inf))
     return SuiteResult(
         name="znzd",
         passed=worst_invariance <= ZNZD_INVARIANCE_TOL and least_variation > ZNZD_VARIATION_FLOOR,

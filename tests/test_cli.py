@@ -14,7 +14,7 @@ from seqmeas import cli
 from seqmeas.cli import (MAX_GRID, MAX_SCAN_POINTS, MAX_TRIALS, MAX_VERIFY_REPEATS,
                          MAX_VERIFY_TRIALS, _csv_cell, _jsonify, _render_report, _write_rows,
                          main)
-from seqmeas.correction import ZnzdClass, is_znzd
+from seqmeas.correction import ZnzdClass, is_znzd, znzd_masks
 from seqmeas.qubit import make_direction, make_state
 
 E1_ARGS = [
@@ -391,19 +391,21 @@ class TestZnzd:
         assert out == ""
         assert "tol must be positive" in err
 
-    def test_scan_classifies_each_axis_once(self, capsys, monkeypatch):
-        calls = []
+    def test_scan_classifies_the_grid_in_one_call(self, capsys, monkeypatch):
+        masks, classified = [], []
 
         def counted(*args, **kwargs):
-            calls.append(args)
-            return is_znzd(*args, **kwargs)
+            masks.append(znzd_masks(*args, **kwargs))
+            return masks[-1]
 
-        monkeypatch.setattr(cli, "is_znzd", counted)
+        monkeypatch.setattr(cli, "znzd_masks", counted)
+        monkeypatch.setattr(cli, "is_znzd", lambda *args, **kwargs: classified.append(args))
         code, out, _ = run(capsys, ["znzd", "--scan", "--theta", "1.5707963267948966",
                                     "--varphi", "0", "--scan-points", "360"])
         assert code == 0
-        assert json.loads(out)
-        assert len(calls) <= 2 * 360 - 1
+        assert len(json.loads(out)) == 2 * 358  # phi = pi/2 and 3 pi/2, each alpha but pi/2
+        assert len(masks) == 1 and classified == []
+        assert masks[0][1].shape == (360, 359)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

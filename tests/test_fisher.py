@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -194,6 +195,54 @@ class TestPrecisions:
         setup = JointSetup(make_state(math.pi / 2, 0.0), make_direction(1.0, 0.0), Coupling(0.9))
         with pytest.raises(DegenerateDistribution):
             precisions(setup)
+
+    @pytest.mark.parametrize("alpha, phi, theta, varphi", [
+        (0.6, 0.2, 1.0, 0.4), (math.pi / 6, 0.0, math.pi / 3, 0.0), (1.3, 4.0, 2.5, 5.9),
+    ])
+    def test_stacked_coupling_equals_each_scalar_coupling(self, alpha, phi, theta, varphi):
+        state, direction = make_state(alpha, phi), make_direction(theta, varphi)
+        gammas = np.linspace(GAMMA_MIN, 1.0, 41)
+        stacked = astuple(precisions(JointSetup(state, direction, Coupling(gammas))))
+        rows = np.column_stack(np.broadcast_arrays(*stacked))
+        for row, gamma in zip(rows, gammas.tolist()):
+            report = precisions(JointSetup(state, direction, Coupling(gamma)))
+            assert row.tobytes() == np.array(astuple(report)).tobytes()
+
+    @pytest.mark.parametrize("certain", [(1.0, 0.0, 0.0, 0.0), (0.5, 0.0, 0.5, 0.0)],
+                             ids=["both_marginals", "b_marginal"])
+    def test_a_law_that_rounds_to_a_certainty_gives_nan(self, monkeypatch, certain):
+        import seqmeas.fisher as fisher_mod
+
+        state, direction = make_state(0.6, 0.2), make_direction(1.0, 0.4)
+        gammas = np.linspace(0.75, 0.95, 5)
+        real = precisions(JointSetup(state, direction, Coupling(gammas)))
+        real_joint_distribution = fisher_mod.joint_distribution
+
+        def certain_at_index_2(setup):
+            law = real_joint_distribution(setup)
+            law[:, 2] = certain
+            return law
+
+        monkeypatch.setattr(fisher_mod, "joint_distribution", certain_at_index_2)
+        report = precisions(JointSetup(state, direction, Coupling(gammas)))
+        for name in ("i_A_joint", "i_B_joint", "epsilon", "eta"):
+            values, expected = getattr(report, name), getattr(real, name)
+            assert np.isnan(values[2])
+            assert np.delete(values, 2).tolist() == np.delete(expected, 2).tolist()
+        monkeypatch.setattr(fisher_mod, "joint_distribution", lambda setup: np.array(certain))
+        report = precisions(JointSetup(state, direction, Coupling(0.9)))
+        assert all(math.isnan(v) for v in (report.i_A_joint, report.i_B_joint,
+                                           report.epsilon, report.eta))
+        assert (report.i_A_proj, report.i_B_proj) == (real.i_A_proj, real.i_B_proj)
+
+    @pytest.mark.parametrize("gamma", [0.9, np.linspace(0.75, 0.95, 5)], ids=["one", "stack"])
+    def test_eigenstates_raise(self, gamma):
+        with pytest.raises(DegenerateDistribution, match="eigenstate of A"):
+            precisions(JointSetup(make_state(math.pi / 2, 0.0), make_direction(1.0, 0.0),
+                                  Coupling(gamma)))
+        with pytest.raises(DegenerateDistribution, match="eigenstate of B"):
+            precisions(JointSetup(make_state(math.pi / 4, 0.0), make_direction(math.pi / 2, 0.0),
+                                  Coupling(gamma)))
 
 
 class TestCramerRaoBound:

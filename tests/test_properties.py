@@ -7,6 +7,7 @@ example database is written.
 import json
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from seqmeas import oracle  # noqa: E402
+from seqmeas import montecarlo, oracle  # noqa: E402
 from seqmeas.cli import _csv_cell, _fmt9, _jsonify  # noqa: E402
-from seqmeas.correction import estimator_weights  # noqa: E402
+from seqmeas.correction import ZnzdClass, estimator_weights, is_znzd, znzd_masks  # noqa: E402
 from seqmeas.coupling import (  # noqa: E402
     GAMMA_MIN,
     JOINT_CELLS,
@@ -38,7 +39,7 @@ from seqmeas.qubit import (  # noqa: E402
     make_direction,
     make_state,
 )
-from seqmeas.verify import RANDOM_GAMMA_RANGE  # noqa: E402
+from seqmeas.verify import RANDOM_GAMMA_RANGE, stacked_pairs  # noqa: E402
 from test_cli import written_rows  # noqa: E402
 from test_montecarlo import defined_counts, reference_uniform  # noqa: E402
 
@@ -65,9 +66,11 @@ def setups(gammas):
     seed=st.integers(0, 2**64 - 1),
 )
 def test_counts_do_not_depend_on_the_sharding(setup, trials, workers, seed):
-    # threads are capped at the cores, so this starts at most os.cpu_count()
+    # threads are capped at the cores, so this starts at most os.cpu_count(); one chunk
+    # per thread lets these batches shard as they would at _THREAD_CHUNKS times the trials
     serial = sample(setup, trials, seed)
-    assert sample(setup, trials, seed, workers=workers).counts == serial.counts
+    with mock.patch.object(montecarlo, "_THREAD_CHUNKS", 1):
+        assert sample(setup, trials, seed, workers=workers).counts == serial.counts
     assert sum(serial.counts) == trials
 
 
@@ -164,6 +167,30 @@ def test_the_joint_law_and_its_marginals_are_laws(setup):
 def test_the_array_law_and_its_marginals_are_laws(setup, gammas):
     stack = JointSetup(setup.state, setup.b_dir, Coupling(np.array(gammas)))
     assert_is_a_law(joint_distribution(stack))
+
+
+# pairs on and near the class boundaries: eigenstates of sigma_z, commuting observables,
+# and states a quarter turn from the observable's azimuth
+znzd_pairs = st.builds(
+    lambda alpha, theta, varphi, turn, phi: (make_state(alpha, varphi + turn if turn else phi),
+                                             make_direction(theta, varphi)),
+    st.sampled_from([0.0, math.pi / 2]) | polar,
+    st.sampled_from([0.0, math.pi]) | polar,
+    azimuth,
+    st.sampled_from([math.pi / 2, -math.pi / 2, None]),
+    azimuth,
+)
+
+
+@PROPERTY
+@given(pairs=st.lists(znzd_pairs, max_size=20), tol=st.floats(1e-12, 1.5))
+def test_the_stacked_masks_classify_as_is_znzd_does_pair_by_pair(pairs, tol):
+    trivial, nontrivial = znzd_masks(*stacked_pairs(pairs), tol)
+    assert trivial.shape == nontrivial.shape == (len(pairs),)
+    classes = [ZnzdClass.TRIVIAL if t else ZnzdClass.NONTRIVIAL if n else ZnzdClass.NOT_ZNZD
+               for t, n in zip(trivial.tolist(), nontrivial.tolist())]
+    assert classes == [is_znzd(state, direction, tol) for state, direction in pairs]
+    assert not (trivial & nontrivial).any()
 
 
 @PROPERTY

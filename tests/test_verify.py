@@ -54,9 +54,29 @@ class TestSuiteZnzd:
         (ZnzdClass.NONTRIVIAL, "a generic state was misclassified as ZNZD"),
     ])
     def test_a_misclassified_pair_fails_the_suite(self, monkeypatch, verdict, detail):
-        monkeypatch.setattr(verify_mod, "is_znzd", lambda state, direction: verdict)
+        real_znzd_masks = verify_mod.znzd_masks
+
+        def last_pair_misclassified(state, direction):
+            trivial, nontrivial = (np.array(mask) for mask in real_znzd_masks(state, direction))
+            trivial[-1] = verdict is ZnzdClass.TRIVIAL
+            nontrivial[-1] = verdict is ZnzdClass.NONTRIVIAL
+            return trivial, nontrivial
+
+        monkeypatch.setattr(verify_mod, "znzd_masks", last_pair_misclassified)
         result = suite_znzd(count=10, grid=5)
         assert (result.name, result.passed, result.detail) == ("znzd", False, detail)
+
+    def test_each_family_is_one_classification(self, monkeypatch):
+        calls = []
+        real_znzd_masks = verify_mod.znzd_masks
+
+        def counted(state, direction):
+            calls.append(np.shape(state.alpha))
+            return real_znzd_masks(state, direction)
+
+        monkeypatch.setattr(verify_mod, "znzd_masks", counted)
+        assert suite_znzd(count=100, grid=5).passed
+        assert calls == [(100,), (100,)]
 
     def test_no_pairs_give_the_empty_extremes(self):
         assert suite_znzd(count=0).metrics == {"max_drift": 0.0, "min_variation": math.inf}
