@@ -41,8 +41,6 @@ _STREAM = 0xD1B54A32D192ED03
 # Trials hashed as one array: a 2^16-element uint64 buffer is 512 KiB, so a
 # chunk's counters, hash words and comparisons stay in a core's L2 cache.
 _CHUNK = 1 << 16
-# Least chunks per shard thread: on two cores, two threads beat one reliably from 32 on.
-_THREAD_CHUNKS = 16
 
 
 @functools.cache
@@ -150,8 +148,8 @@ def _counts_for_range(cum: np.ndarray, seed: int, start: int, stop: int) -> np.n
 
 def _thread_count(workers: int, trials: int) -> int:
     """Threads that ``workers`` gets: never more than the cores, and every thread
-    gets at least ``_THREAD_CHUNKS`` whole chunks of trials."""
-    return min(workers, os.cpu_count() or 1, max(1, trials // (_THREAD_CHUNKS * _CHUNK)))
+    gets at least one whole chunk of trials."""
+    return min(workers, os.cpu_count() or 1, max(1, trials // _CHUNK))
 
 
 def sample(setup: JointSetup, trials: int, seed: int, workers: int = 1) -> TrialBatch:

@@ -112,7 +112,7 @@ class TestSample:
         assert first == second
 
     def test_workers_do_not_change_counts(self, worked_setup):
-        trials = 7 * montecarlo._THREAD_CHUNKS * montecarlo._CHUNK + 1  # enough for 7 shards
+        trials = 7 * montecarlo._CHUNK + 1  # enough whole chunks for 7 shards
         serial = sample(worked_setup, trials, seed=13)
         for workers in (2, 3, 7):
             assert sample(worked_setup, trials, seed=13, workers=workers).counts == serial.counts
@@ -188,10 +188,6 @@ class TestWordThresholds:
         np.testing.assert_array_equal(counts, defined_counts(cum, seed, lo, hi))
 
 
-# the fewest trials that start two shard threads, plus part of a chunk
-TWO_SHARDS = 2 * montecarlo._THREAD_CHUNKS * montecarlo._CHUNK + 300_000
-
-
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two shards need two cores")
 class TestThreadFanOut:
     # each test starts exactly the two shard threads of one sample call
@@ -206,10 +202,10 @@ class TestThreadFanOut:
             return real(cum, seed, start, stop)
 
         monkeypatch.setattr(montecarlo, "_counts_for_range", spy)
-        batch = sample(worked_setup, TWO_SHARDS, seed=21, workers=2)
+        batch = sample(worked_setup, 300_000, seed=21, workers=2)
         assert len(threads) == len(set(threads)) == 2
         assert threading.get_ident() not in threads
-        expected = reference_counts(cumulative_law(worked_setup), 21, 0, TWO_SHARDS)
+        expected = reference_counts(cumulative_law(worked_setup), 21, 0, 300_000)
         assert batch.counts == tuple(expected)
 
     def test_shard_exception_reaches_the_caller(self, worked_setup, monkeypatch):
@@ -222,7 +218,7 @@ class TestThreadFanOut:
 
         monkeypatch.setattr(montecarlo, "_counts_for_range", failing)
         with pytest.raises(RuntimeError, match="shard failed"):
-            sample(worked_setup, TWO_SHARDS, seed=21, workers=2)
+            sample(worked_setup, 300_000, seed=21, workers=2)
 
 
 class TestChunkBuffers:
@@ -317,13 +313,11 @@ class TestThreadCount:
         assert _thread_count(2**63, 2**63) == cores
 
     def test_capped_by_trials(self):
-        # every thread gets at least _THREAD_CHUNKS whole chunks
-        least = montecarlo._THREAD_CHUNKS * montecarlo._CHUNK
+        # every thread gets at least one whole chunk
+        chunk = montecarlo._CHUNK
         assert _thread_count(10**9, 1) == 1
-        assert _thread_count(10**9, 10**6) == 1  # a verify batch runs on one thread
-        assert _thread_count(10**9, 2 * least - 1) == 1
-        assert _thread_count(10**9, 2 * least) == min(2, os.cpu_count() or 1)
-        assert _thread_count(10**9, 3 * least) == min(3, os.cpu_count() or 1)
+        assert _thread_count(10**9, 2 * chunk - 1) == 1
+        assert _thread_count(10**9, 2 * chunk) == min(2, os.cpu_count() or 1)
 
     def test_never_above_request(self):
         assert _thread_count(1, 10**12) == 1

@@ -7,7 +7,6 @@ example database is written.
 import json
 import math
 import struct
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from seqmeas import montecarlo, oracle  # noqa: E402
+from seqmeas import oracle  # noqa: E402
 from seqmeas.cli import _csv_cell, _fmt9, _jsonify  # noqa: E402
 from seqmeas.correction import ZnzdClass, estimator_weights, is_znzd, znzd_masks  # noqa: E402
 from seqmeas.coupling import (  # noqa: E402
@@ -66,11 +65,9 @@ def setups(gammas):
     seed=st.integers(0, 2**64 - 1),
 )
 def test_counts_do_not_depend_on_the_sharding(setup, trials, workers, seed):
-    # threads are capped at the cores, so this starts at most os.cpu_count(); one chunk
-    # per thread lets these batches shard as they would at _THREAD_CHUNKS times the trials
+    # threads are capped at the cores, so this starts at most os.cpu_count()
     serial = sample(setup, trials, seed)
-    with mock.patch.object(montecarlo, "_THREAD_CHUNKS", 1):
-        assert sample(setup, trials, seed, workers=workers).counts == serial.counts
+    assert sample(setup, trials, seed, workers=workers).counts == serial.counts
     assert sum(serial.counts) == trials
 
 
