@@ -34,8 +34,6 @@ from .errors import (
 from .fisher import (
     FisherReport,
     cramer_rao_bound,
-    fisher_a_proj,
-    fisher_b_proj,
     precisions,
     tradeoff_curve,
 )

@@ -36,7 +36,7 @@ ENDPOINT_OFFSET = 1e-6
 
 @dataclass(frozen=True)
 class FisherReport:
-    """The four Fisher informations and the precision ratios; arrays for a stacked coupling."""
+    """The four Fisher informations and the precision ratios; arrays for a stack."""
 
     i_A_joint: float
     i_B_joint: float
@@ -47,60 +47,42 @@ class FisherReport:
 
 
 def _binary_information(p_plus, p_minus, dp):
-    """``dp^2 / (p_plus p_minus)``, for one law or for arrays of them."""
+    """``dp^2 / (p_plus p_minus)``, for one law or for arrays of them; nan where ``p_plus``
+    is not in (0, 1), since the information diverges there."""
+    p_plus = np.where((p_plus <= 0.0) | (p_plus >= 1.0), np.nan, p_plus)
     return dp * dp / (p_plus * p_minus)
 
 
-def _information(p: tuple[float, float], dp: float, label: str) -> float:
-    """:func:`_binary_information` of ``p = (p_plus, p_minus)``; refuses a degenerate ``p``."""
-    p_plus, p_minus = p
-    if p_plus <= 0.0 or p_plus >= 1.0:
-        raise DegenerateDistribution(
-            f"{label} outcome distribution is degenerate "
-            f"(p_plus = {float(p_plus)!r}); Fisher information diverges"
-        )
-    return float(_binary_information(p_plus, p_minus, dp))
-
-
-def _meter_information(law: np.ndarray, c: Coupling) -> float:
-    return _information(meter_law(law), 0.5 * c.kappa, "meter (A channel)")
-
-
-def _b_information(law: np.ndarray, c: Coupling) -> float:
-    return _information(b_law(law), 0.5 * c.deco, "second measurement (B channel)")
-
-
-def _projective_information(state: PureState, direction: ObservableDirection, name: str) -> float:
-    p = (born_probability(state, direction, +1), born_probability(state, direction, -1))
-    return _information(p, 0.5, f"projective {name} (state is an eigenstate of {name})")
-
-
-def fisher_a_proj(state: PureState) -> float:
-    """Information per record of an independent projective measurement of sigma_z."""
-    return _projective_information(state, a_direction(), "A")
-
-
-def fisher_b_proj(state: PureState, direction: ObservableDirection) -> float:
-    """Information per record of an independent projective measurement of ``sigma . n``."""
-    return _projective_information(state, direction, "B")
+def joint_informations(law: np.ndarray, coupling: Coupling) -> tuple[float, float]:
+    """Informations of the meter (A channel) and second (B channel) records of the joint law,
+    each nan where its own marginal rounds to a certainty."""
+    return (_binary_information(*meter_law(law), 0.5 * coupling.kappa),
+            _binary_information(*b_law(law), 0.5 * coupling.deco))
 
 
 def precisions(setup: JointSetup) -> FisherReport:
-    """Fisher informations and the ratios epsilon, eta, for one scenario or a stacked coupling.
+    """Fisher informations and the ratios epsilon, eta, for one scenario or a stack.
 
-    The projective informations come first, so an eigenstate of either observable raises
-    :class:`DegenerateDistribution`; where a marginal of the joint law rounds to a certainty,
-    both joint informations and both ratios are nan.
+    The state, the direction and the coupling may each be stacked.  An eigenstate of either
+    observable anywhere in the stack raises :class:`DegenerateDistribution`; where a marginal
+    of the joint law rounds to a certainty, both joint informations and both ratios are nan.
     """
-    i_a_proj = fisher_a_proj(setup.state)
-    i_b_proj = fisher_b_proj(setup.state, setup.b_dir)
-    law = joint_distribution(setup)
-    (m_plus, m_minus), (b_plus, b_minus) = meter_law(law), b_law(law)
-    degenerate = (m_plus <= 0.0) | (m_plus >= 1.0) | (b_plus <= 0.0) | (b_plus >= 1.0)
-    # nan where the information diverges
-    m_plus, b_plus = np.where(degenerate, np.nan, m_plus), np.where(degenerate, np.nan, b_plus)
-    i_a_joint = _binary_information(m_plus, m_minus, 0.5 * setup.coupling.kappa)
-    i_b_joint = _binary_information(b_plus, b_minus, 0.5 * setup.coupling.deco)
+    i_a_proj, i_b_proj = (
+        _binary_information(born_probability(setup.state, d, +1),
+                            born_probability(setup.state, d, -1), 0.5)
+        for d in (a_direction(), setup.b_dir)
+    )
+    for info, name in ((i_a_proj, "A"), (i_b_proj, "B")):
+        if np.isnan(info).any():
+            raise DegenerateDistribution(
+                f"projective {name} outcome distribution is degenerate (state is an "
+                f"eigenstate of {name}); Fisher information diverges"
+            )
+    i_a_joint, i_b_joint = joint_informations(joint_distribution(setup), setup.coupling)
+    degenerate = np.isnan(i_a_joint) | np.isnan(i_b_joint)
+    # [()] gives a scalar back for one scenario
+    i_a_joint = np.where(degenerate, np.nan, i_a_joint)[()]
+    i_b_joint = np.where(degenerate, np.nan, i_b_joint)[()]
     return FisherReport(
         i_A_joint=i_a_joint,
         i_B_joint=i_b_joint,

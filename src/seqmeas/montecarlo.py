@@ -30,8 +30,8 @@ import numpy as np
 
 from .correction import estimator_weights
 from .coupling import JointSetup, joint_distribution
-from .errors import InvalidParameter
-from .fisher import _b_information, _meter_information, cramer_rao_bound
+from .errors import DegenerateDistribution, InvalidParameter
+from .fisher import cramer_rao_bound, joint_informations
 from .qubit import a_direction, expectation
 
 _MASK64 = (1 << 64) - 1
@@ -268,12 +268,18 @@ def crb_check(
     est_a_vals, est_b_vals, w_b = _batch_estimates(setup, trials, repeats, seed, workers)
     var_b = float(est_b_vals.var(ddof=1))
     law = joint_distribution(setup)
-    crb_a = cramer_rao_bound(_meter_information(law, setup.coupling), trials)
+    i_a, i_b = joint_informations(law, setup.coupling)
+    for info, channel in ((i_a, "meter (A channel)"), (i_b, "second measurement (B channel)")):
+        if np.isnan(info):
+            raise DegenerateDistribution(
+                f"{channel} outcome distribution is degenerate; Fisher information diverges"
+            )
+    crb_a = cramer_rao_bound(i_a, trials)
     var_b_analytic = _affine_variance(w_b, law, trials)
     return {
         "ratio_A": float(est_a_vals.var(ddof=1)) / crb_a,
         "ratio_B": var_b / var_b_analytic,
         "crb_A": crb_a,
-        "crb_B": cramer_rao_bound(_b_information(law, setup.coupling), trials),
+        "crb_B": cramer_rao_bound(i_b, trials),
         "var_B_analytic": var_b_analytic,
     }, var_b

@@ -130,10 +130,10 @@ def bloch_terms(state: PureState, direction: ObservableDirection) -> tuple[float
 
 
 def born_probability(state: PureState, direction: ObservableDirection, sign: int) -> float:
-    """Probability ``(1 + sign <sigma . n>) / 2`` of outcome ``sign`` (+1 or -1) on the state."""
+    """Probability ``(1 + sign <sigma . n>) / 2`` of outcome ``sign`` (+1 or -1) on each state."""
     if sign not in (+1, -1):
         raise InvalidParameter(f"sign must be +1 or -1, got {sign!r}")
-    return min(1.0, max(0.0, 0.5 * (1.0 + sign * expectation(state, direction))))
+    return np.clip(0.5 * (1.0 + sign * expectation(state, direction)), 0.0, 1.0)
 
 
 def expectation(state: PureState, direction: ObservableDirection) -> float:

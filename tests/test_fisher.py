@@ -15,8 +15,6 @@ from seqmeas import (
     cramer_rao_bound,
     decompose,
     expectation,
-    fisher_a_proj,
-    fisher_b_proj,
     make_direction,
     make_state,
     meter_probabilities,
@@ -24,8 +22,8 @@ from seqmeas import (
     tradeoff_curve,
 )
 from seqmeas.coupling import GAMMA_MIN
-from seqmeas.fisher import _information
-from seqmeas.qubit import a_direction
+from seqmeas.fisher import _binary_information
+from seqmeas.qubit import ObservableDirection, PureState, a_direction
 from seqmeas.verify import random_scenarios
 
 from test_coupling import row_setups
@@ -42,21 +40,23 @@ def fd_fisher(p_of_x, x0, h=1e-5):
 
 class TestFisherBinary:
     def test_fair_coin(self):
-        fi = _information((0.5, 0.5), 0.5, "binary")
+        fi = _binary_information(0.5, 0.5, 0.5)
         assert fi == pytest.approx(1.0, abs=1e-12)
 
     def test_scaled_sensitivity(self):
-        fi = _information((0.5, 0.5), 0.3, "binary")
+        fi = _binary_information(0.5, 0.5, 0.3)
         assert fi == pytest.approx(0.36, abs=1e-12)
 
     def test_skewed(self):
-        fi = _information((0.25, 0.75), 0.5, "binary")
+        fi = _binary_information(0.25, 0.75, 0.5)
         assert fi == pytest.approx(4 / 3, abs=1e-12)
 
     @pytest.mark.parametrize("p_plus", [0.0, 1.0])
-    def test_boundary_raises(self, p_plus):
-        with pytest.raises(DegenerateDistribution):
-            _information((p_plus, 1.0 - p_plus), 0.5, "binary")
+    def test_boundary_gives_nan(self, p_plus):
+        # nan rather than a raise (or a warning): in a stack only the degenerate law is nan
+        assert math.isnan(_binary_information(p_plus, 1.0 - p_plus, 0.5))
+        fi = _binary_information(np.array([0.25, p_plus]), np.array([0.75, 1.0 - p_plus]), 0.5)
+        assert fi[0] == pytest.approx(4 / 3, abs=1e-12) and math.isnan(fi[1])
 
 
 class TestJointFisher:
@@ -71,9 +71,9 @@ class TestJointFisher:
     def test_a_joint_projective_limit(self):
         state = make_state(math.pi / 6, 0.0)
         setup = JointSetup(state, make_direction(1.0, 0.0), Coupling(1.0))
-        i_a_joint = precisions(setup).i_A_joint
-        assert i_a_joint == pytest.approx(4 / 3, abs=1e-12)
-        assert i_a_joint == pytest.approx(fisher_a_proj(state), abs=1e-12)
+        report = precisions(setup)
+        assert report.i_A_joint == pytest.approx(4 / 3, abs=1e-12)
+        assert report.i_A_joint == pytest.approx(report.i_A_proj, abs=1e-12)
 
     def test_b_joint_worked_value(self, worked_setup):
         # deco^2/4 / (p_plus p_minus) = 0.16 / 0.13
@@ -82,8 +82,8 @@ class TestJointFisher:
     def test_b_joint_undisturbed_limit(self):
         state, direction = make_state(0.7, 0.4), make_direction(1.3, 0.8)
         setup = JointSetup(state, direction, Coupling(GAMMA_MIN))
-        i_b_joint = precisions(setup).i_B_joint
-        assert i_b_joint == pytest.approx(fisher_b_proj(state, direction), abs=1e-12)
+        report = precisions(setup)
+        assert report.i_B_joint == pytest.approx(report.i_B_proj, abs=1e-12)
 
     def test_b_joint_projective_kills_information(self):
         setup = JointSetup(make_state(0.7, 0.4), make_direction(1.3, 0.8), Coupling(1.0))
@@ -106,22 +106,32 @@ class TestJointFisher:
 
 
 class TestProjectiveFisher:
+    # the projective informations read only the state and the direction, not the coupling
+    def report(self, state, direction=make_direction(1.0, 0.0)):
+        return precisions(JointSetup(state, direction, Coupling(0.9)))
+
     def test_balanced_state(self):
-        assert fisher_a_proj(make_state(math.pi / 4, 0.0)) == pytest.approx(1.0, abs=1e-12)
+        assert self.report(make_state(math.pi / 4, 0.0)).i_A_proj == pytest.approx(1.0, abs=1e-12)
 
     def test_skewed_state(self):
-        assert fisher_a_proj(make_state(math.pi / 6, 0.0)) == pytest.approx(4 / 3, abs=1e-12)
+        report = self.report(make_state(math.pi / 6, 0.0))
+        assert report.i_A_proj == pytest.approx(4 / 3, abs=1e-12)
 
     def test_b_proj_worked_value(self):
-        state = make_state(math.pi / 6, 0.0)
-        direction = make_direction(math.pi / 2, 0.0)
-        assert fisher_b_proj(state, direction) == pytest.approx(4.0, abs=1e-9)
+        report = self.report(make_state(math.pi / 6, 0.0), make_direction(math.pi / 2, 0.0))
+        assert report.i_B_proj == pytest.approx(4.0, abs=1e-9)
 
     def test_eigenstate_raises(self):
-        with pytest.raises(DegenerateDistribution, match="eigenstate of A"):
-            fisher_a_proj(make_state(math.pi / 2, 0.0))
-        with pytest.raises(DegenerateDistribution, match="eigenstate of B"):
-            fisher_b_proj(make_state(math.pi / 4, 0.0), make_direction(math.pi / 2, 0.0))
+        # one eigenstate, first or last in a stack of states, refuses the whole stack
+        for k in (0, 2):
+            alphas, phis = np.array([0.6, 0.7, 1.0]), np.zeros(3)
+            alphas[k] = math.pi / 2  # |0>, an eigenstate of sigma_z
+            with pytest.raises(DegenerateDistribution, match="eigenstate of A"):
+                self.report(PureState(alphas, phis))
+            thetas = np.array([1.0, 1.2, 2.0])
+            alphas[k], thetas[k] = math.pi / 4, math.pi / 2  # the +1 eigenstate of sigma_x
+            with pytest.raises(DegenerateDistribution, match="eigenstate of B"):
+                self.report(PureState(alphas, phis), ObservableDirection(thetas, phis))
 
 
 class TestFiniteDifferenceOracle:

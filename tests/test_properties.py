@@ -7,6 +7,7 @@ example database is written.
 import json
 import math
 import struct
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from seqmeas.coupling import (  # noqa: E402
     meter_probabilities,
     post_measurement_density,
 )
+from seqmeas.errors import DegenerateDistribution  # noqa: E402
+from seqmeas.fisher import precisions  # noqa: E402
 from seqmeas.montecarlo import _CHUNK, _counts_for_range, sample  # noqa: E402
 from seqmeas.qubit import (  # noqa: E402
     a_direction,
@@ -38,7 +41,12 @@ from seqmeas.qubit import (  # noqa: E402
     make_direction,
     make_state,
 )
-from seqmeas.verify import RANDOM_GAMMA_RANGE, stacked_pairs  # noqa: E402
+from seqmeas.verify import (  # noqa: E402
+    RANDOM_GAMMA_RANGE,
+    random_scenarios,
+    stacked_pairs,
+    stacked_setup,
+)
 from test_cli import written_rows  # noqa: E402
 from test_montecarlo import defined_counts, reference_uniform  # noqa: E402
 
@@ -164,6 +172,40 @@ def test_the_joint_law_and_its_marginals_are_laws(setup):
 def test_the_array_law_and_its_marginals_are_laws(setup, gammas):
     stack = JointSetup(setup.state, setup.b_dir, Coupling(np.array(gammas)))
     assert_is_a_law(joint_distribution(stack))
+
+
+# an eigenstate of sigma_z, the +1 eigenstate of sigma_x measured along x, or neither
+eigen_rows = st.sampled_from([
+    None, (math.pi / 2, 1.0, 2.0, 3.0, 0.8), (math.pi / 4, 0.0, math.pi / 2, 0.0, 0.9),
+])
+
+
+@PROPERTY
+@given(
+    count=st.integers(1, 50),
+    seed=st.integers(0, 2**32 - 1),
+    eigen=eigen_rows,
+    k=st.integers(0, 50),
+)
+def test_stacked_precisions_equal_the_one_scenario_ones(count, seed, eigen, k):
+    rows = random_scenarios(count, seed, (GAMMA_MIN, 1.0)).tolist()
+    if eigen is not None:
+        rows.insert(k, eigen)
+    reports, refused = [], []
+    for row in rows:
+        try:
+            reports.append(astuple(precisions(stacked_setup(np.array(row)))))
+        except DegenerateDistribution as exc:
+            refused.append(str(exc))
+    if refused:
+        # one eigenstate refuses the whole stack, and an eigenstate of A is named first
+        name = "A" if any("eigenstate of A" in message for message in refused) else "B"
+        with pytest.raises(DegenerateDistribution, match=f"eigenstate of {name}"):
+            precisions(stacked_setup(np.array(rows)))
+        return
+    # array sin/cos may differ from the scalar path by an ulp: 9 significant digits
+    stacked = astuple(precisions(stacked_setup(np.array(rows))))
+    np.testing.assert_allclose(stacked, np.transpose(reports), rtol=1e-9, atol=0, equal_nan=True)
 
 
 # pairs on and near the class boundaries: eigenstates of sigma_z, commuting observables,

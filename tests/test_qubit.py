@@ -5,6 +5,8 @@ import pytest
 
 from seqmeas import (
     InvalidParameter,
+    ObservableDirection,
+    PureState,
     a_direction,
     born_probability,
     expectation,
@@ -113,8 +115,10 @@ class TestBornAndExpectation:
         assert born_probability(make_state(math.pi / 2, 0.0), make_direction(0.0, 0.0), +1) == 1.0
 
     def test_bad_sign(self):
-        with pytest.raises(InvalidParameter):
-            born_probability(make_state(0.4, 0.9), make_direction(0.0, 0.0), 0)
+        stack = PureState(np.array([0.4, 1.1]), np.array([0.9, 0.0]))
+        for state in (make_state(0.4, 0.9), stack):
+            with pytest.raises(InvalidParameter):
+                born_probability(state, make_direction(0.0, 0.0), 0)
 
     def test_expectation_values(self):
         state = make_state(math.pi / 6, 0.0)
@@ -127,7 +131,16 @@ class TestBornAndExpectation:
         )
 
     def test_sum_to_one_and_sign_split(self):
-        for alpha, phi, theta, varphi in random_angles(1000, 17):
+        angles = random_angles(1000, 17)
+        alpha, phi, theta, varphi = np.array(angles).T
+        stacked_state, stacked_d = PureState(alpha, phi), ObservableDirection(theta, varphi)
+        for sign in (+1, -1):
+            # a stack of states and directions gives each scenario's probability
+            np.testing.assert_allclose(
+                born_probability(stacked_state, stacked_d, sign),
+                [born_probability(PureState(*a[:2]), ObservableDirection(*a[2:]), sign)
+                 for a in angles], rtol=0, atol=1e-12)
+        for alpha, phi, theta, varphi in angles:
             state, d = make_state(alpha, phi), make_direction(theta, varphi)
             p_plus = born_probability(state, d, +1)
             p_minus = born_probability(state, d, -1)
