@@ -57,15 +57,10 @@ def _trial_offsets() -> np.ndarray:
     return offsets
 
 
-class _ChunkBuffers(threading.local):
-    """Each thread's two ``_CHUNK``-element uint64 buffers, allocated on its first
-    use and reused after it, so that repeated sample calls fault no new pages in."""
-
-    def __init__(self) -> None:
-        self.pair = (np.empty(_CHUNK, np.uint64), np.empty(_CHUNK, np.uint64))
-
-
-_THREAD_BUFFERS = _ChunkBuffers()
+# Pairs of _CHUNK-element uint64 buffers that no shard is hashing in, reused so that sample
+# calls fault no new pages in; list.pop and list.append are atomic, so no two shards share
+# a pair.  It keeps one 1 MiB pair for each shard that ever ran at the same time as others.
+_FREE_BUFFERS: list = []
 
 
 def _mix64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -139,10 +134,16 @@ def _counts_for_range(cum: np.ndarray, seed: int, start: int, stop: int) -> np.n
     # trial i falls in a cell <= j exactly when u_i < cum[j] (cum is nondecreasing)
     thresholds = [_word_threshold(c) for c in cum[:3].tolist()]
     below = np.zeros(3, dtype=np.int64)
-    buffers = _THREAD_BUFFERS.pair
-    for lo in range(start, stop, _CHUNK):
-        z = trial_uniforms(seed, lo, min(lo + _CHUNK, stop), buffers=buffers)
-        below += [z.size if k is None else np.count_nonzero(z < k) for k in thresholds]
+    try:
+        buffers = _FREE_BUFFERS.pop()
+    except IndexError:
+        buffers = (np.empty(_CHUNK, np.uint64), np.empty(_CHUNK, np.uint64))
+    try:
+        for lo in range(start, stop, _CHUNK):
+            z = trial_uniforms(seed, lo, min(lo + _CHUNK, stop), buffers=buffers)
+            below += [z.size if k is None else np.count_nonzero(z < k) for k in thresholds]
+    finally:
+        _FREE_BUFFERS.append(buffers)
     return np.diff(below, prepend=0, append=stop - start)
 
 

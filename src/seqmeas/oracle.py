@@ -44,15 +44,6 @@ def _eigenvectors(theta, varphi) -> np.ndarray:
     return eigvecs
 
 
-def eigenprojectors(direction: ObservableDirection) -> dict[int, np.ndarray]:
-    """Projectors of ``sigma . n`` from its numerical eigendecomposition."""
-    eigvecs = _eigenvectors(np.array([direction.theta]), np.array([direction.varphi]))[0]
-    return {
-        -1: np.outer(eigvecs[:, 0], eigvecs[:, 0].conj()),
-        +1: np.outer(eigvecs[:, 1], eigvecs[:, 1].conj()),
-    }
-
-
 def simulate_stack(alpha, phi, theta, varphi, gamma) -> tuple[np.ndarray, ...]:
     """Run the full tensor simulation of the N scenarios given as arrays of their parameters.
 
@@ -100,6 +91,6 @@ def simulate(setup: JointSetup) -> OracleResult:
 
 
 def born_probability(state_vector: np.ndarray, direction: ObservableDirection, sign: int) -> float:
-    """Projective outcome probability on an uncoupled state, by eigendecomposition."""
-    proj = eigenprojectors(direction)[sign]
-    return float(np.vdot(state_vector, proj @ state_vector).real)
+    """Projective outcome probability |<v|psi>|^2 on an uncoupled state; v: eigenvector of sign."""
+    eigvecs = _eigenvectors(np.array([direction.theta]), np.array([direction.varphi]))[0]
+    return float(abs(np.vdot(eigvecs[:, {+1: 1, -1: 0}[sign]], state_vector)) ** 2)

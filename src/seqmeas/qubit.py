@@ -11,7 +11,7 @@ Conventions used throughout the package:
   ``t = sin 2alpha sin theta cos(varphi - phi)`` (:func:`bloch_terms`).  The
   first (weakly measured) observable is the ``theta = 0`` instance, i.e.
   sigma_z with |0> <-> +1 and |1> <-> -1.  The +1/-1 labels of ``sigma . n``
-  are its eigenvalues, as the oracle's eigenprojectors take them.
+  are its eigenvalues, as the oracle's eigendecomposition takes them.
 * Outcomes are labelled +1/-1 everywhere, never 0/1.
 
 Angles are accepted anywhere on the real line and reduced to canonical ranges;

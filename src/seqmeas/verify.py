@@ -27,8 +27,8 @@ from .coupling import (
 )
 from .errors import DegenerateCoupling
 from .montecarlo import crb_check, unbiasedness_check
-from .qubit import (ObservableDirection, PureState, a_direction, expectation, make_direction,
-                    make_state)
+from .qubit import (TWO_PI, ObservableDirection, PureState, a_direction, expectation,
+                    make_direction, make_state)
 
 # Coupling range for randomized oracle comparisons; strictly inside the domain
 # so that the correction round trip is well defined on the same draws.
@@ -200,35 +200,33 @@ def suite_crb(
     )
 
 
-def znzd_states(count: int, seed: int, nontrivial: bool) -> list[tuple]:
-    """Random (state, direction) pairs, ZNZD or safely non-ZNZD."""
+def znzd_states(count: int, seed: int, nontrivial: bool) -> tuple[PureState, ObservableDirection]:
+    """Random (state, direction) pairs as one stack, ZNZD or safely non-ZNZD.
+
+    Pair k takes four draws: alpha, theta, varphi, then the side of phi's quarter turn
+    from varphi (ZNZD) or phi (generic, drawn again while |cos(varphi - phi)| < 0.05).
+    """
     rng = np.random.default_rng(seed)
-    pairs = []
-    while len(pairs) < count:
-        alpha = rng.uniform(0.15, math.pi / 2 - 0.15)
-        theta = rng.uniform(0.3, math.pi - 0.3)
-        varphi = rng.uniform(0.0, 2.0 * math.pi)
-        if nontrivial:
-            phi = varphi + (math.pi / 2 if rng.random() < 0.5 else -math.pi / 2)
-        else:
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            if abs(math.cos(varphi - phi)) < 0.05:
-                continue
-        pairs.append((make_state(alpha, phi), make_direction(theta, varphi)))
-    return pairs
-
-
-def stacked_pairs(pairs: list[tuple]) -> tuple[PureState, ObservableDirection]:
-    """One state and one direction holding the angles of the (state, direction) pairs."""
-    alpha, phi, theta, varphi = np.reshape(
-        [(s.alpha, s.phi, d.theta, d.varphi) for s, d in pairs], (-1, 4)).T
-    return PureState(alpha, phi), ObservableDirection(theta, varphi)
+    lows = np.array([0.15, 0.3, 0.0, 0.0])
+    highs = np.array([math.pi / 2 - 0.15, math.pi - 0.3, TWO_PI, 1.0 if nontrivial else TWO_PI])
+    rows = np.empty((0, 4))
+    while len(rows) < count:
+        block = lows + (highs - lows) * rng.random((count - len(rows), 4))
+        if not nontrivial:
+            block = block[np.abs(np.cos(block[:, 2] - block[:, 3])) >= 0.05]
+        rows = np.concatenate([rows, block])
+    alpha, theta, varphi, last = rows.T
+    if nontrivial:
+        # phi reduced as make_state does: fmod, plus 2 pi if negative, and 2 pi itself to 0
+        last = np.mod(varphi + np.where(last < 0.5, math.pi / 2, -math.pi / 2), TWO_PI)
+        last[last >= TWO_PI] = 0.0
+    return PureState(alpha, last), ObservableDirection(theta, varphi)
 
 
 def b_variation_over_gamma(state, direction, points: int = 50):
     """Spread of the +1 probability of b across the whole coupling range.
 
-    The state and the direction may be stacks of pairs (see :func:`stacked_pairs`);
+    The state and the direction may be stacks of pairs (see :func:`znzd_states`);
     the coupling grid runs along its own first axis, and the spread is taken
     over it, one per pair.
     """
@@ -239,10 +237,10 @@ def b_variation_over_gamma(state, direction, points: int = 50):
 
 def suite_znzd(count: int = 100, seed: int = 4, grid: int = 50) -> SuiteResult:
     """Coupling invariance of b statistics exactly on the ZNZD locus."""
-    znzd = stacked_pairs(znzd_states(count, seed, nontrivial=True))
+    znzd = znzd_states(count, seed, nontrivial=True)
     if not znzd_masks(*znzd)[1].all():
         return SuiteResult("znzd", False, "a constructed ZNZD state was not classified as such")
-    generic = stacked_pairs(znzd_states(count, seed + 1, nontrivial=False))
+    generic = znzd_states(count, seed + 1, nontrivial=False)
     if np.logical_or(*znzd_masks(*generic)).any():
         return SuiteResult("znzd", False, "a generic state was misclassified as ZNZD")
     worst_invariance = float(np.max(b_variation_over_gamma(*znzd, grid), initial=0.0))

@@ -162,8 +162,9 @@ def test_criterion_6_tradeoff_reproduction():
 
 
 def test_criterion_7_znzd():
-    for state, direction in znzd_states(100, seed=77, nontrivial=True):
-        assert abs(math.cos(direction.varphi - state.phi)) < 1e-12
+    state, direction = znzd_states(100, seed=77, nontrivial=True)
+    assert state.alpha.shape == (100,)
+    assert np.all(np.abs(np.cos(direction.varphi - state.phi)) < 1e-12)
     result = suite_znzd(count=100, seed=77, grid=50)
     ok = (
         result.passed

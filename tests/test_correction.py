@@ -24,6 +24,7 @@ from seqmeas.verify import (b_variation_over_gamma, random_scenarios, stacked_se
                             znzd_states)
 
 from test_coupling import row_setups
+from test_verify import split_pairs
 
 E1_DIR = make_direction(math.pi / 2, 0.0)
 E1_COUPLING = Coupling(math.sqrt(0.8))
@@ -219,8 +220,8 @@ class TestZnzd:
     def test_classification_matches_coupling_invariance(self):
         # mixture of nontrivial, trivial and generic pairs; classification
         # must agree with the observed coupling (in)variance of the b law
-        pairs = znzd_states(30, seed=97, nontrivial=True)
-        pairs += znzd_states(30, seed=101, nontrivial=False)
+        pairs = split_pairs(znzd_states(30, seed=97, nontrivial=True))
+        pairs += split_pairs(znzd_states(30, seed=101, nontrivial=False))
         pairs += [
             (make_state(0.0, 0.0), make_direction(1.0, 0.5)),
             (make_state(0.9, 0.1), make_direction(0.0, 0.0)),
@@ -232,8 +233,8 @@ class TestZnzd:
 
     def test_variation_equals_the_spread_of_the_per_coupling_laws(self):
         # the one-call sweep reproduces max - min over validated per-gamma laws exactly
-        pairs = znzd_states(20, seed=97, nontrivial=True)
-        pairs += znzd_states(20, seed=101, nontrivial=False)
+        pairs = split_pairs(znzd_states(20, seed=97, nontrivial=True))
+        pairs += split_pairs(znzd_states(20, seed=101, nontrivial=False))
         pairs += [(s.state, s.b_dir) for s in row_setups(random_scenarios(20, seed=103))]
         for state, direction in pairs:
             for points in (2, 7, 50):

@@ -176,9 +176,11 @@ class TestBProbabilities:
             assert p[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_equals_trace_with_projector(self):
-        for setup in row_setups(random_scenarios(300, seed=47)):
+        scenarios = random_scenarios(300, seed=47)
+        plus = oracle._eigenvectors(scenarios[:, 2], scenarios[:, 3])[:, :, 1]  # eigenvalue +1
+        for setup, v in zip(row_setups(scenarios), plus):
             rho = post_measurement_density(setup)
-            pi_plus = oracle.eigenprojectors(setup.b_dir)[+1]
+            pi_plus = np.outer(v, v.conj())
             p = b_probabilities(setup)
             assert p[0] == pytest.approx(np.trace(rho @ pi_plus).real, abs=1e-12)
 
@@ -264,6 +266,18 @@ class TestOracleEquivalence:
             for m in (+1, -1):
                 for b in (+1, -1):
                     assert cell(law, m, b) == pytest.approx(ref.joint[(m, b)], abs=1e-10)
+
+    def test_born_probability_is_the_projector_expectation(self):
+        scenarios = random_scenarios(300, seed=83)
+        eigvecs = oracle._eigenvectors(scenarios[:, 2], scenarios[:, 3])
+        for setup, vectors in zip(row_setups(scenarios), eigvecs):
+            psi = setup.state.vector()
+            for sign, column in ((+1, 1), (-1, 0)):  # eigh's columns: ascending eigenvalues
+                projector = np.outer(vectors[:, column], vectors[:, column].conj())
+                assert oracle.born_probability(psi, setup.b_dir, sign) == pytest.approx(
+                    np.vdot(psi, projector @ psi).real, abs=1e-12)
+        with pytest.raises(KeyError):
+            oracle.born_probability(psi, setup.b_dir, 0)
 
     def test_the_oracle_imports_no_closed_form(self):
         # the oracle shares only the scenario's types and the cell order with the model

@@ -222,7 +222,7 @@ class TestThreadFanOut:
 
 
 class TestChunkBuffers:
-    # every sample call on a thread hashes in that thread's same two chunk buffers
+    # every shard hashes in a pair of chunk buffers that it takes from a free list
 
     def test_interleaved_calls_leak_nothing_between_calls(self, worked_setup):
         calls = [(worked_setup, 100_001, 5, 1), (ZERO_CELL_SETUP, 1, 7, 1),
@@ -256,6 +256,31 @@ class TestChunkBuffers:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert seen == {seed: {counts} for seed, counts in expected.items()}
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two shards need two cores")
+    def test_threaded_calls_reuse_the_free_pairs(self, worked_setup, monkeypatch):
+        # both shards of the first call hold their pair at once, so it leaves at least
+        # two pairs free, and the second call makes no new one
+        real = montecarlo.trial_uniforms
+        both_hold_a_pair = threading.Barrier(2, timeout=10)
+        held = {}
+
+        def spy(seed, start, stop, *, buffers=None):
+            if threading.get_ident() not in held:
+                held[threading.get_ident()] = buffers
+                both_hold_a_pair.wait()
+            return real(seed, start, stop, buffers=buffers)
+
+        monkeypatch.setattr(montecarlo, "trial_uniforms", spy)
+        expected = reference_counts(cumulative_law(worked_setup), 21, 0, 300_000)
+        assert sample(worked_setup, 300_000, seed=21, workers=2).counts == tuple(expected)
+        first, second = held.values()
+        assert first is not second
+        free = {id(pair) for pair in montecarlo._FREE_BUFFERS}
+        assert {id(first), id(second)} <= free
+        monkeypatch.setattr(montecarlo, "trial_uniforms", real)
+        assert sample(worked_setup, 300_000, seed=21, workers=2).counts == tuple(expected)
+        assert {id(pair) for pair in montecarlo._FREE_BUFFERS} == free
 
 
 class TestEstimate:

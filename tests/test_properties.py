@@ -35,6 +35,8 @@ from seqmeas.errors import DegenerateDistribution  # noqa: E402
 from seqmeas.fisher import precisions  # noqa: E402
 from seqmeas.montecarlo import _CHUNK, _counts_for_range, sample  # noqa: E402
 from seqmeas.qubit import (  # noqa: E402
+    ObservableDirection,
+    PureState,
     a_direction,
     born_probability,
     expectation,
@@ -44,7 +46,6 @@ from seqmeas.qubit import (  # noqa: E402
 from seqmeas.verify import (  # noqa: E402
     RANDOM_GAMMA_RANGE,
     random_scenarios,
-    stacked_pairs,
     stacked_setup,
 )
 from test_cli import written_rows  # noqa: E402
@@ -224,7 +225,9 @@ znzd_pairs = st.builds(
 @PROPERTY
 @given(pairs=st.lists(znzd_pairs, max_size=20), tol=st.floats(1e-12, 1.5))
 def test_the_stacked_masks_classify_as_is_znzd_does_pair_by_pair(pairs, tol):
-    trivial, nontrivial = znzd_masks(*stacked_pairs(pairs), tol)
+    alpha, phi, theta, varphi = np.reshape(
+        [(s.alpha, s.phi, d.theta, d.varphi) for s, d in pairs], (-1, 4)).T
+    trivial, nontrivial = znzd_masks(PureState(alpha, phi), ObservableDirection(theta, varphi), tol)
     assert trivial.shape == nontrivial.shape == (len(pairs),)
     classes = [ZnzdClass.TRIVIAL if t else ZnzdClass.NONTRIVIAL if n else ZnzdClass.NOT_ZNZD
                for t, n in zip(trivial.tolist(), nontrivial.tolist())]
