@@ -6,9 +6,10 @@ is ``u_i = (z_i >> 11) 2^-53``.  A batch is a pure function of
 ``(setup, trials, seed)``, and the counts are bit-identical however the trial
 range is sharded across workers.  Merging shards is plain count addition.
 
-The sampler compares the words themselves with integer thresholds: for
-``K = ceil(c 2^53)``, ``u_i < c`` exactly when ``z_i < K 2^11``, so no
-variate is ever formed.
+The sampler forms no variate: ``u_i < c`` exactly when ``z_i >> 11 < ceil(c 2^53)``,
+and both sides, below 2^54, are compared as the float64 values their bits stand for.
+Non-negative IEEE doubles order as their bits do, subnormals included (each
+``z_i >> 11 < 2^52`` is one), so this is exact unless subnormals are flushed to zero.
 
 Estimates are affine functions of the observed cell frequencies and are never
 clamped to [-1, 1]; standard errors are propagated exactly through the
@@ -72,21 +73,15 @@ def _mix64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return z
 
 
-def trial_uniforms(seed: int, start: int, stop: int, *, buffers=None) -> np.ndarray:
-    """64-bit hash words of trials ``start .. stop-1`` for this seed.
+def trial_uniforms(seed: int, start: int, stop: int, buffers) -> np.ndarray:
+    """64-bit hash words of trials ``start .. stop-1`` for this seed, hashed in ``buffers``.
 
-    Word ``z`` stands for the uniform [0, 1) variate ``(z >> 11) 2^-53``.
-    With ``buffers``, a pair of ``_CHUNK``-element uint64 arrays, at most
-    ``_CHUNK`` trials are hashed in them instead of in two new arrays; the
-    result is then a view of the first, valid until they are passed again.
+    Word ``z`` stands for the uniform [0, 1) variate ``(z >> 11) 2^-53``.  ``buffers`` is a
+    pair of ``_CHUNK``-element uint64 arrays, so at most ``_CHUNK`` trials are hashed, and
+    the result is a view of the first, valid until the pair is passed again.
     """
-    base = np.uint64((start * _GOLDEN + seed) & _MASK64)
-    if buffers is None:
-        z = np.arange(1, stop - start + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + base
-        t = np.empty_like(z)
-    else:
-        z, t = (buffer[:stop - start] for buffer in buffers)
-        np.add(_trial_offsets()[:stop - start], base, out=z)
+    z, t = (buffer[:stop - start] for buffer in buffers)
+    np.add(_trial_offsets()[:stop - start], np.uint64((start * _GOLDEN + seed) & _MASK64), out=z)
     return _mix64(z, t)
 
 
@@ -117,40 +112,35 @@ class SampleStats:
     se_B: float
 
 
-def _word_threshold(c: float):
-    """``K 2^11`` with ``K = ceil(c 2^53)``: a trial's variate is below ``c`` exactly
-    when its hash word is below this, as ``u < c`` means ``(z >> 11) < c 2^53``.
-
-    ``None`` for ``c >= 1``, which every variate is below, and where ``K 2^11``
-    would not fit a word.  ``c <= 0`` and NaN, which no variate is below, give
-    0, so that ``math.ceil`` only sees ``c`` in (0, 1), where ``K < 2^53``.
-    """
-    if c >= 1.0:
-        return None
-    return np.uint64(math.ceil(c * 2.0**53) << 11 if c > 0.0 else 0)
+def _thresholds(cum: np.ndarray) -> np.ndarray:
+    """``ceil(c 2^53)`` for ``c = cum[:3]`` clipped to [0, 1] (NaN as 0), its bits read as float64:
+    trial i falls in a cell <= j (``cum`` is nondecreasing) iff ``z_i >> 11``, so read, is below."""
+    c = np.clip(np.nan_to_num(cum[:3]), 0.0, 1.0)
+    return np.ceil(c * 2.0**53).astype(np.uint64).view(np.float64)
 
 
-def _counts_for_range(cum: np.ndarray, seed: int, start: int, stop: int) -> np.ndarray:
-    # trial i falls in a cell <= j exactly when u_i < cum[j] (cum is nondecreasing)
-    thresholds = [_word_threshold(c) for c in cum[:3].tolist()]
-    below = np.zeros(3, dtype=np.int64)
+def _counts_below(thresholds: np.ndarray, seed: int, start: int, stop: int) -> list[int]:
+    """Trials ``start .. stop-1`` whose variates are below each threshold."""
+    below = [0, 0, 0]
     try:
         buffers = _FREE_BUFFERS.pop()
     except IndexError:
         buffers = (np.empty(_CHUNK, np.uint64), np.empty(_CHUNK, np.uint64))
     try:
         for lo in range(start, stop, _CHUNK):
-            z = trial_uniforms(seed, lo, min(lo + _CHUNK, stop), buffers=buffers)
-            below += [z.size if k is None else np.count_nonzero(z < k) for k in thresholds]
+            z = trial_uniforms(seed, lo, min(lo + _CHUNK, stop), buffers)
+            variates = np.right_shift(z, np.uint64(11), out=z).view(np.float64)
+            below = [n + int(np.count_nonzero(variates < k)) for n, k in zip(below, thresholds)]
     finally:
         _FREE_BUFFERS.append(buffers)
-    return np.diff(below, prepend=0, append=stop - start)
+    return below
 
 
 def _thread_count(workers: int, trials: int) -> int:
-    """Threads that ``workers`` gets: never more than the cores, and every thread
-    gets at least one whole chunk of trials."""
-    return min(workers, os.cpu_count() or 1, max(1, trials // _CHUNK))
+    """Threads that ``workers`` gets: never more than the CPUs this process may run
+    on, and every thread gets at least one whole chunk of trials."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(workers, cpus, max(1, trials // _CHUNK))
 
 
 def sample(setup: JointSetup, trials: int, seed: int, workers: int = 1) -> TrialBatch:
@@ -163,7 +153,7 @@ def sample(setup: JointSetup, trials: int, seed: int, workers: int = 1) -> Trial
         raise InvalidParameter(f"trials must be >= 1, got {trials!r}")
     if workers < 1:
         raise InvalidParameter(f"workers must be >= 1, got {workers!r}")
-    cum = np.cumsum(joint_distribution(setup))
+    thresholds = _thresholds(np.cumsum(joint_distribution(setup)))
 
     threads = _thread_count(workers, trials)
     bounds = np.linspace(0, trials, threads + 1, dtype=int).tolist()
@@ -172,7 +162,7 @@ def sample(setup: JointSetup, trials: int, seed: int, workers: int = 1) -> Trial
 
     def run(k: int) -> None:
         try:
-            parts[k] = _counts_for_range(cum, seed, bounds[k], bounds[k + 1])
+            parts[k] = _counts_below(thresholds, seed, bounds[k], bounds[k + 1])
         except Exception as exc:  # re-raised on the caller's thread below
             errors.append(exc)
 
@@ -186,8 +176,8 @@ def sample(setup: JointSetup, trials: int, seed: int, workers: int = 1) -> Trial
             shard.join()
     if errors:
         raise errors[0]
-    counts = sum(parts)
-    return TrialBatch(counts=tuple(int(c) for c in counts), trials=trials)
+    a, b, c = map(sum, zip(*parts))
+    return TrialBatch(counts=(a, b - a, c - b, trials - c), trials=trials)
 
 
 def _affine_variance(weights: np.ndarray, probs: np.ndarray, n: int) -> float:

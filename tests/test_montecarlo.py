@@ -31,14 +31,34 @@ from seqmeas.verify import Z_LIMIT, default_setup
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
+MIXERS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, 1))
+# the CPUs this process may run on, which caps the shard threads
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def reference_word(seed, index):
     """Pure-python splitmix64 of (seed, index), as an independent reference."""
     z = (seed + (index + 1) * GOLDEN) & MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return (z ^ (z >> 31)) & MASK64
+    for shift, multiplier in MIXERS:
+        z = ((z ^ (z >> shift)) * multiplier) & MASK64
+    return z
+
+
+def seed_drawing(word, index):
+    """The seed whose trial ``index`` draws ``word``: each step of the hash is a bijection."""
+    for shift, multiplier in reversed(MIXERS):
+        z = word = word * pow(multiplier, -1, 2**64) & MASK64
+        for _ in range(64 // shift):  # undo z ^= z >> shift, shift bits at a time
+            word = z ^ (word >> shift)
+    return (word - (index + 1) * GOLDEN) & MASK64
+
+
+def reference_words(seed, lo, hi):
+    """The hash words of trials lo .. hi-1 as one numpy expression, for long ranges."""
+    z = np.arange(lo + 1, hi + 1, dtype=np.uint64) * np.uint64(GOLDEN) + np.uint64(seed)
+    for shift, multiplier in MIXERS:
+        z = (z ^ (z >> np.uint64(shift))) * np.uint64(multiplier)
+    return z
 
 
 def reference_uniform(seed, index):
@@ -50,6 +70,21 @@ def uniforms(words):
     return (words >> np.uint64(11)) * 2.0**-53
 
 
+def chunk_buffers():
+    return np.empty(montecarlo._CHUNK, np.uint64), np.empty(montecarlo._CHUNK, np.uint64)
+
+
+def hashed(seed, lo, hi):
+    """The kernel's hash words of at most one chunk of trials, in buffers of their own."""
+    return trial_uniforms(seed, lo, hi, chunk_buffers()).copy()
+
+
+def kernel_counts(cum, seed, lo, hi):
+    """The kernel's cell counts of trials lo .. hi-1 for the cumulative law ``cum``."""
+    below = montecarlo._counts_below(montecarlo._thresholds(cum), seed, lo, hi)
+    return np.diff(below, prepend=0, append=hi - lo)
+
+
 def cumulative_law(setup):
     cum = np.cumsum(joint_distribution(setup))
     cum[-1] = 1.0
@@ -58,7 +93,7 @@ def cumulative_law(setup):
 
 def reference_counts(cum, seed, lo, hi):
     """Cell counts by binary search over the variates, independent of the kernel."""
-    cells = np.searchsorted(cum, uniforms(trial_uniforms(seed, lo, hi)), side="right")
+    cells = np.searchsorted(cum, uniforms(reference_words(seed, lo, hi)), side="right")
     return np.bincount(cells, minlength=4)
 
 
@@ -69,30 +104,33 @@ ZERO_CELL_SETUP = JointSetup(  # law (0.25, 0, 0, 0.75): cum[0] == cum[1] == cum
 
 class TestCounterRng:
     def test_matches_scalar_reference(self):
-        words = trial_uniforms(42, 0, 50)
+        words = hashed(42, 0, 50)
         assert words.dtype == np.uint64
         u = uniforms(words)
         for i in range(50):
             assert int(words[i]) == reference_word(42, i)
             assert u[i] == reference_uniform(42, i)
+        np.testing.assert_array_equal(reference_words(42, 0, 50), words)
 
     def test_range_slices_are_consistent(self):
-        whole = trial_uniforms(7, 0, 1000)
-        np.testing.assert_array_equal(whole[200:500], trial_uniforms(7, 200, 500))
+        whole = hashed(7, 0, 1000)
+        np.testing.assert_array_equal(whole[200:500], hashed(7, 200, 500))
 
     def test_unit_interval(self):
-        u = uniforms(trial_uniforms(123456789, 0, 10000))
+        u = uniforms(hashed(123456789, 0, 10000))
         assert u.min() >= 0.0 and u.max() < 1.0
 
     def test_distinct_seeds_differ(self):
-        assert not np.array_equal(trial_uniforms(1, 0, 100), trial_uniforms(2, 0, 100))
+        assert not np.array_equal(hashed(1, 0, 100), hashed(2, 0, 100))
 
     def test_buffered_hash_equals_the_fresh_one(self):
-        buffers = (np.empty(montecarlo._CHUNK, np.uint64), np.empty(montecarlo._CHUNK, np.uint64))
+        # buffers that earlier chunks were hashed in give the words of fresh ones
+        buffers = chunk_buffers()
         chunk = montecarlo._CHUNK
         for seed, lo, hi in ((7, 0, 1000), (2**64 - 1, 12345, 12345 + chunk), (3, 5, 6)):
-            buffered = trial_uniforms(seed, lo, hi, buffers=buffers)
-            np.testing.assert_array_equal(buffered, trial_uniforms(seed, lo, hi))
+            buffered = trial_uniforms(seed, lo, hi, buffers)
+            np.testing.assert_array_equal(buffered, hashed(seed, lo, hi))
+            np.testing.assert_array_equal(buffered, reference_words(seed, lo, hi))
 
     def test_derive_seed_distinct_and_stable(self):
         children = [derive_seed(42, r) for r in range(100)]
@@ -142,7 +180,7 @@ class TestCountKernel:
     def test_matches_binary_search_reference(self, worked_setup, seed, end_offset, zero_cell):
         cum = cumulative_law(ZERO_CELL_SETUP if zero_cell else worked_setup)
         lo, hi = montecarlo._CHUNK // 3, 2 * montecarlo._CHUNK + end_offset
-        counts = montecarlo._counts_for_range(cum, seed, lo, hi)
+        counts = kernel_counts(cum, seed, lo, hi)
         np.testing.assert_array_equal(counts, reference_counts(cum, seed, lo, hi))
 
 
@@ -155,7 +193,7 @@ def defined_counts(cum, seed, lo, hi):
 
 
 class TestWordThresholds:
-    # the kernel compares hash words with ceil(c 2^53) 2^11 instead of variates with c
+    # the kernel compares z >> 11 with ceil(c 2^53), both read as float64, instead of u with c
     LO, HI, SEED = montecarlo._CHUNK - 700, montecarlo._CHUNK + 900, 29
 
     @pytest.mark.parametrize("towards", [-1.0, 0.0, 1.0], ids=["below", "equal", "above"])
@@ -168,14 +206,14 @@ class TestWordThresholds:
         for drawn in (u[0], u[len(u) // 3], u[-1], *exact):
             c = drawn if towards == 0.0 else float(np.nextafter(drawn, towards * np.inf))
             for cum in (np.array([c, c, c, 1.0]), np.array([0.0, c, 1.0, 1.0])):
-                counts = montecarlo._counts_for_range(cum, self.SEED, self.LO, self.HI)
+                counts = kernel_counts(cum, self.SEED, self.LO, self.HI)
                 np.testing.assert_array_equal(counts, defined_counts(cum, self.SEED, self.LO, self.HI))
 
     @pytest.mark.parametrize("c", [0.0, -1e-17, 1 - 2**-53, 1.0, 1 + 2**-52, 2**-1074,
                                    math.inf, -math.inf, math.nan])
     def test_edge_thresholds(self, c):
         for cum in (np.array([c, c, c, 1.0]), np.array([min(c, 0.25), 0.5, c, 1.0])):
-            counts = montecarlo._counts_for_range(cum, self.SEED, self.LO, self.HI)
+            counts = kernel_counts(cum, self.SEED, self.LO, self.HI)
             np.testing.assert_array_equal(counts, defined_counts(cum, self.SEED, self.LO, self.HI))
 
     def test_chunk_start_that_wraps_the_word(self):
@@ -184,24 +222,51 @@ class TestWordThresholds:
         assert (lo * GOLDEN + seed) > MASK64 and ((lo + chunk) * GOLDEN + seed) > MASK64
         cum = cumulative_law(JointSetup(make_state(0.4, 1.0), make_direction(1.2, 0.3),
                                         Coupling(0.9)))
-        counts = montecarlo._counts_for_range(cum, seed, lo, hi)
+        counts = kernel_counts(cum, seed, lo, hi)
         np.testing.assert_array_equal(counts, defined_counts(cum, seed, lo, hi))
 
+    def test_thresholds_on_both_sides_of_one_half(self):
+        # below c = 1/2 the thresholds are subnormal bit patterns, from it on normal ones
+        u = [reference_uniform(self.SEED, i) for i in range(self.LO, self.HI)]
+        nearest = (max(x for x in u if x < 0.5), min(x for x in u if x >= 0.5))
+        cs = [0.5 - 2**-53, float(np.nextafter(0.5, 0.0)), 0.5, 0.5 + 2**-53, *nearest]
+        cs += [float(np.nextafter(x, towards)) for x in nearest for towards in (0.0, 1.0)]
+        for c in cs:
+            threshold = montecarlo._thresholds(np.array([c, c, c, 1.0]))[0]
+            assert (threshold < np.finfo(np.float64).tiny) == (c <= 0.5 - 2**-53)
+            for cum in (np.array([c, c, c, 1.0]), np.array([0.0, c, 1.0, 1.0])):
+                counts = kernel_counts(cum, self.SEED, self.LO, self.HI)
+                np.testing.assert_array_equal(counts, defined_counts(cum, self.SEED, self.LO, self.HI))
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two shards need two cores")
+    @pytest.mark.parametrize("word", [2**63 - 2**11 - 1, 2**63 - 2**11, 2**63 - 1, 2**63,
+                                      2**63 + 2**11 - 1, 2**63 + 2**11])
+    def test_words_on_both_sides_of_two_to_the_63(self, word):
+        # z >> 11 below 2^52 reads as a subnormal float64, from 2^52 on as a normal one;
+        # the drawn trial is the last of a chunk, and the range runs into the next one
+        index = montecarlo._CHUNK - 1
+        seed = seed_drawing(word, index)
+        assert reference_word(seed, index) == word
+        lo, hi = index - 3, index + 4
+        for c in (0.5 - 2**-52, 0.5 - 2**-53, 0.5, 0.5 + 2**-53, 0.5 + 2**-52):
+            for cum in (np.array([c, c, c, 1.0]), np.array([0.0, c, 1.0, 1.0])):
+                np.testing.assert_array_equal(kernel_counts(cum, seed, lo, hi),
+                                              defined_counts(cum, seed, lo, hi))
+
+
+@pytest.mark.skipif(CPUS < 2, reason="two shards need two CPUs")
 class TestThreadFanOut:
     # each test starts exactly the two shard threads of one sample call
     def test_one_thread_per_shard_and_the_caller_only_waits(self, worked_setup, monkeypatch):
-        real = montecarlo._counts_for_range
+        real = montecarlo._counts_below
         threads = []
         both_alive = threading.Barrier(2, timeout=10)  # no shard ends before the other starts
 
-        def spy(cum, seed, start, stop):
+        def spy(thresholds, seed, start, stop):
             threads.append(threading.get_ident())
             both_alive.wait()
-            return real(cum, seed, start, stop)
+            return real(thresholds, seed, start, stop)
 
-        monkeypatch.setattr(montecarlo, "_counts_for_range", spy)
+        monkeypatch.setattr(montecarlo, "_counts_below", spy)
         batch = sample(worked_setup, 300_000, seed=21, workers=2)
         assert len(threads) == len(set(threads)) == 2
         assert threading.get_ident() not in threads
@@ -209,14 +274,14 @@ class TestThreadFanOut:
         assert batch.counts == tuple(expected)
 
     def test_shard_exception_reaches_the_caller(self, worked_setup, monkeypatch):
-        real = montecarlo._counts_for_range
+        real = montecarlo._counts_below
 
-        def failing(cum, seed, start, stop):
+        def failing(thresholds, seed, start, stop):
             if start > 0:
                 raise RuntimeError("shard failed")
-            return real(cum, seed, start, stop)
+            return real(thresholds, seed, start, stop)
 
-        monkeypatch.setattr(montecarlo, "_counts_for_range", failing)
+        monkeypatch.setattr(montecarlo, "_counts_below", failing)
         with pytest.raises(RuntimeError, match="shard failed"):
             sample(worked_setup, 300_000, seed=21, workers=2)
 
@@ -257,7 +322,7 @@ class TestChunkBuffers:
         assert not any(thread.is_alive() for thread in threads)
         assert seen == {seed: {counts} for seed, counts in expected.items()}
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two shards need two cores")
+    @pytest.mark.skipif(CPUS < 2, reason="two shards need two CPUs")
     def test_threaded_calls_reuse_the_free_pairs(self, worked_setup, monkeypatch):
         # both shards of the first call hold their pair at once, so it leaves at least
         # two pairs free, and the second call makes no new one
@@ -265,11 +330,11 @@ class TestChunkBuffers:
         both_hold_a_pair = threading.Barrier(2, timeout=10)
         held = {}
 
-        def spy(seed, start, stop, *, buffers=None):
+        def spy(seed, start, stop, buffers):
             if threading.get_ident() not in held:
                 held[threading.get_ident()] = buffers
                 both_hold_a_pair.wait()
-            return real(seed, start, stop, buffers=buffers)
+            return real(seed, start, stop, buffers)
 
         monkeypatch.setattr(montecarlo, "trial_uniforms", spy)
         expected = reference_counts(cumulative_law(worked_setup), 21, 0, 300_000)
@@ -333,16 +398,28 @@ class TestEstimate:
 class TestThreadCount:
     # checked on the helper alone: no thread is started
     def test_capped_by_cores(self):
-        cores = os.cpu_count() or 1
-        assert _thread_count(10**9, 10**12) == cores
-        assert _thread_count(2**63, 2**63) == cores
+        # the CPUs this process may run on, not all the machine's
+        assert _thread_count(10**9, 10**12) == CPUS
+        assert _thread_count(2**63, 2**63) == CPUS
+
+    def test_capped_by_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert _thread_count(4, 10**9) == 1
+
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _thread_count(4, 10**9) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert _thread_count(4, 10**9) == 1
 
     def test_capped_by_trials(self):
         # every thread gets at least one whole chunk
         chunk = montecarlo._CHUNK
         assert _thread_count(10**9, 1) == 1
         assert _thread_count(10**9, 2 * chunk - 1) == 1
-        assert _thread_count(10**9, 2 * chunk) == min(2, os.cpu_count() or 1)
+        assert _thread_count(10**9, 2 * chunk) == min(2, CPUS)
 
     def test_never_above_request(self):
         assert _thread_count(1, 10**12) == 1

@@ -33,7 +33,7 @@ from seqmeas.coupling import (  # noqa: E402
 )
 from seqmeas.errors import DegenerateDistribution  # noqa: E402
 from seqmeas.fisher import precisions  # noqa: E402
-from seqmeas.montecarlo import _CHUNK, _counts_for_range, sample  # noqa: E402
+from seqmeas.montecarlo import _CHUNK, sample  # noqa: E402
 from seqmeas.qubit import (  # noqa: E402
     ObservableDirection,
     PureState,
@@ -49,7 +49,7 @@ from seqmeas.verify import (  # noqa: E402
     stacked_setup,
 )
 from test_cli import written_rows  # noqa: E402
-from test_montecarlo import defined_counts, reference_uniform  # noqa: E402
+from test_montecarlo import defined_counts, kernel_counts, reference_uniform  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -143,7 +143,7 @@ def test_word_thresholds_count_as_the_variates_do(seed, chunk_end, before, after
     u = [reference_uniform(seed, i) for i in range(lo, hi)]
     cum = np.sort([float(np.nextafter(u[index % len(u)], towards * np.inf)) if towards
                    else u[index % len(u)] for index, towards in picks] + [1.0])
-    counts = _counts_for_range(cum, seed, lo, hi)
+    counts = kernel_counts(cum, seed, lo, hi)
     np.testing.assert_array_equal(counts, defined_counts(cum, seed, lo, hi))
 
 
