@@ -254,9 +254,9 @@ def cmd_znzd(args: argparse.Namespace, out: TextIO) -> int:
         }
         out.write(_render_report(report, args.fmt))
         return 0
-    # the (phi, alpha) grid, phi-major: make_state's reduction leaves these angles as they are
+    # the (phi, alpha) grid, phi-major
     n = args.scan_points
-    grid = PureState(math.pi * np.arange(1, n) / n, 2.0 * math.pi * np.arange(n)[:, None] / n)
+    grid = make_state(math.pi * np.arange(1, n) / n, 2.0 * math.pi * np.arange(n)[:, None] / n)
     _, nontrivial = znzd_masks(grid, direction, tol=args.tol)
     rows = np.column_stack([np.broadcast_to(angle, nontrivial.shape)[nontrivial]
                             for angle in (grid.alpha, grid.phi)])

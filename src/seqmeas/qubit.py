@@ -15,10 +15,10 @@ Conventions used throughout the package:
 * Outcomes are labelled +1/-1 everywhere, never 0/1.
 
 Angles are accepted anywhere on the real line and reduced to canonical ranges;
-the reduction only ever changes an unobservable global phase.  A
-:class:`PureState` or :class:`ObservableDirection` built directly from arrays
-of in-range angles stands for a stack of scenarios, and the amplitudes, the
-Bloch direction and the Bloch terms are then arrays too.
+the reduction only ever changes an unobservable global phase.  :func:`make_state`
+and :func:`make_direction` called on arrays of angles give a :class:`PureState`
+or :class:`ObservableDirection` that stands for a stack of scenarios, and the
+amplitudes, the Bloch direction and the Bloch terms are then arrays too.
 """
 
 from __future__ import annotations
@@ -33,20 +33,23 @@ from .errors import InvalidParameter
 TWO_PI = 2.0 * math.pi
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise InvalidParameter(f"{name} must be finite, got {value!r}")
-    return value
+def _field(value: np.ndarray) -> float | np.ndarray:
+    """A float for one scenario, the array for a stack, as :class:`Coupling` stores them."""
+    return value if value.ndim else float(value)
 
 
-def _wrap_two_pi(angle: float) -> float:
-    wrapped = math.fmod(angle, TWO_PI)
-    if wrapped < 0.0:
-        wrapped += TWO_PI
-    if wrapped >= TWO_PI:  # tiny negatives can round back up to 2 pi exactly
-        wrapped = 0.0
-    return wrapped
+def _require_finite(name: str, value) -> float | np.ndarray:
+    value = np.asarray(value, dtype=float)
+    bad = value[~np.isfinite(value)]  # the first is named, not the whole stack
+    if bad.size:
+        raise InvalidParameter(f"{name} must be finite, got {bad[0].item()!r}")
+    return _field(value)
+
+
+def _wrap_two_pi(angle: float | np.ndarray) -> np.ndarray:
+    wrapped = np.fmod(angle, TWO_PI)  # not np.mod, which turns -0.0 into +0.0
+    wrapped = np.where(wrapped < 0.0, wrapped + TWO_PI, wrapped)
+    return np.where(wrapped >= TWO_PI, 0.0, wrapped)  # tiny negatives can round up to 2 pi
 
 
 @dataclass(frozen=True)
@@ -80,30 +83,26 @@ class ObservableDirection:
         return (st * np.cos(self.varphi), st * np.sin(self.varphi), np.cos(self.theta))
 
 
-def make_state(alpha: float, phi: float) -> PureState:
+def make_state(alpha: float | np.ndarray, phi: float | np.ndarray) -> PureState:
     """Build the signal state, reducing angles to their canonical ranges.
 
     alpha is folded into [0, pi] (so the |0> amplitude is non-negative) and
     phi into [0, 2 pi).  Shifting alpha by pi multiplies both amplitudes by -1,
     a pure global phase, so the reduction leaves every probability unchanged.
     """
-    alpha = _require_finite("alpha", alpha)
-    phi = _require_finite("phi", phi)
-    a = _wrap_two_pi(alpha)
-    if a > math.pi:
-        a -= math.pi
-    return PureState(alpha=a, phi=_wrap_two_pi(phi))
+    a = _wrap_two_pi(_require_finite("alpha", alpha))
+    a = np.where(a > math.pi, a - math.pi, a)
+    return PureState(_field(a), _field(_wrap_two_pi(_require_finite("phi", phi))))
 
 
-def make_direction(theta: float, varphi: float) -> ObservableDirection:
+def make_direction(theta: float | np.ndarray, varphi: float | np.ndarray) -> ObservableDirection:
     """Build an observable direction with theta in [0, pi], varphi in [0, 2 pi)."""
-    theta = _require_finite("theta", theta)
+    t = _wrap_two_pi(_require_finite("theta", theta))
     varphi = _require_finite("varphi", varphi)
-    t = _wrap_two_pi(theta)
-    if t > math.pi:
-        t = TWO_PI - t
-        varphi = varphi + math.pi
-    return ObservableDirection(theta=t, varphi=_wrap_two_pi(varphi))
+    flip = t > math.pi
+    t = np.where(flip, TWO_PI - t, t)
+    varphi = np.where(flip, varphi + math.pi, varphi)
+    return ObservableDirection(_field(t), _field(_wrap_two_pi(varphi)))
 
 
 def a_direction() -> ObservableDirection:

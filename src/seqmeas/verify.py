@@ -66,8 +66,7 @@ class SuiteResult:
 
 
 def default_setup() -> JointSetup:
-    alpha, phi, theta, varphi, gamma = DEFAULT_SCENARIO
-    return JointSetup(make_state(alpha, phi), make_direction(theta, varphi), Coupling(gamma))
+    return stacked_setup(np.array(DEFAULT_SCENARIO))
 
 
 def random_scenarios(count: int, seed: int, gamma_range=RANDOM_GAMMA_RANGE) -> np.ndarray:
@@ -84,9 +83,9 @@ def random_scenarios(count: int, seed: int, gamma_range=RANDOM_GAMMA_RANGE) -> n
 
 def stacked_setup(scenarios: np.ndarray) -> JointSetup:
     """One setup holding the columns of :func:`random_scenarios`, which the closed forms
-    broadcast over."""
+    broadcast over; one row gives one scenario."""
     alpha, phi, theta, varphi, gamma = scenarios.T
-    return JointSetup(PureState(alpha, phi), ObservableDirection(theta, varphi), Coupling(gamma))
+    return JointSetup(make_state(alpha, phi), make_direction(theta, varphi), Coupling(gamma))
 
 
 def _largest(deviations) -> float:
@@ -217,10 +216,8 @@ def znzd_states(count: int, seed: int, nontrivial: bool) -> tuple[PureState, Obs
         rows = np.concatenate([rows, block])
     alpha, theta, varphi, last = rows.T
     if nontrivial:
-        # phi reduced as make_state does: fmod, plus 2 pi if negative, and 2 pi itself to 0
-        last = np.mod(varphi + np.where(last < 0.5, math.pi / 2, -math.pi / 2), TWO_PI)
-        last[last >= TWO_PI] = 0.0
-    return PureState(alpha, last), ObservableDirection(theta, varphi)
+        last = varphi + np.where(last < 0.5, math.pi / 2, -math.pi / 2)
+    return make_state(alpha, last), make_direction(theta, varphi)
 
 
 def b_variation_over_gamma(state, direction, points: int = 50):

@@ -158,6 +158,12 @@ class TestProbs:
         assert excinfo.value.code == 2
         assert "--alpha" in capsys.readouterr().err
 
+    def test_a_negative_angle_in_exponent_form_attached_with_equals(self, capsys):
+        # on its own, "-1e-05" looks like an option to argparse; the README gives this form
+        code, out, _ = run(capsys, ["probs", "--alpha=-1e-05"])
+        assert code == 0
+        assert '"alpha": -1e-05' in out
+
     def test_out_of_domain_gamma(self, capsys):
         code, _, err = run(capsys, ["probs", "--gamma", "0.5"])
         assert code == 2

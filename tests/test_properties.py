@@ -50,6 +50,8 @@ from seqmeas.verify import (  # noqa: E402
 )
 from test_cli import written_rows  # noqa: E402
 from test_montecarlo import defined_counts, kernel_counts, reference_uniform  # noqa: E402
+from test_qubit import (EDGE_ANGLES, assert_reduces_as_the_reference,  # noqa: E402
+                        reference_direction, reference_state)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -233,6 +235,18 @@ def test_the_stacked_masks_classify_as_is_znzd_does_pair_by_pair(pairs, tol):
                for t, n in zip(trivial.tolist(), nontrivial.tolist())]
     assert classes == [is_znzd(state, direction, tol) for state, direction in pairs]
     assert not (trivial & nontrivial).any()
+
+
+# any finite angle, with the sign of zero and the neighbours of pi and 2 pi drawn often
+angles = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_ANGLES)
+
+
+@PROPERTY
+@given(rows=st.lists(st.tuples(angles, angles, angles, angles), max_size=20))
+def test_the_stacked_reduction_equals_the_scalar_rule(rows):
+    alpha, phi, theta, varphi = np.reshape(rows, (-1, 4)).T.tolist()
+    assert_reduces_as_the_reference(make_state, reference_state, alpha, phi)
+    assert_reduces_as_the_reference(make_direction, reference_direction, theta, varphi)
 
 
 @PROPERTY

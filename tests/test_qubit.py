@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -15,6 +16,51 @@ from seqmeas import (
 )
 
 SQRT3_4 = math.sqrt(3.0) / 4.0  # 0.4330127...
+TWO_PI = 2.0 * math.pi
+
+# the sign of zero, multiples of 2 pi, a tiny negative that rounds up to 2 pi,
+# the neighbours of 2 pi and of pi, and angles far outside [0, 2 pi)
+EDGE_ANGLES = [0.0, -0.0, TWO_PI, -TWO_PI, 3 * TWO_PI, -3 * TWO_PI, 1e6 * TWO_PI, -2.0**-60,
+               math.nextafter(TWO_PI, 0.0), math.nextafter(math.pi, 0.0), math.pi,
+               math.nextafter(math.pi, 4.0), 20.0, -20.0, 1e308, -1e308]
+
+
+def reference_wrap(angle):
+    """The phase rule one scalar at a time with ``math.fmod``: the array reduction's reference."""
+    wrapped = math.fmod(angle, TWO_PI)
+    if wrapped < 0.0:
+        wrapped += TWO_PI
+    if wrapped >= TWO_PI:
+        wrapped = 0.0
+    return wrapped
+
+
+def reference_state(alpha, phi):
+    """``(alpha, phi)`` of make_state, one scenario at a time."""
+    a = reference_wrap(alpha)
+    if a > math.pi:
+        a -= math.pi
+    return a, reference_wrap(phi)
+
+
+def reference_direction(theta, varphi):
+    """``(theta, varphi)`` of make_direction, one scenario at a time."""
+    t = reference_wrap(theta)
+    if t > math.pi:
+        t = TWO_PI - t
+        varphi = varphi + math.pi
+    return t, reference_wrap(varphi)
+
+
+def assert_reduces_as_the_reference(build, reference, first, second):
+    """``build`` over arrays equals its scalar calls bit for bit (the sign of zero too),
+    and the scalar calls give floats equal to ``reference``."""
+    stack = build(np.array(first), np.array(second))
+    singles = [astuple(build(x, y)) for x, y in zip(first, second)]
+    assert all(type(value) is float for pair in singles for value in pair)
+    expected = np.array([reference(x, y) for x, y in zip(first, second)]).reshape(-1, 2)
+    assert np.array(singles).reshape(-1, 2).tobytes() == expected.tobytes()
+    assert np.column_stack(astuple(stack)).tobytes() == expected.tobytes()
 
 
 def random_angles(count, seed):
@@ -53,8 +99,11 @@ class TestMakeState:
 
     def test_canonical_form_on_all_of_r(self):
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            alpha, phi = rng.uniform(-20, 20), rng.uniform(-20, 20)
+        alphas, phis = rng.uniform(-20, 20, (2, 200)).tolist()
+        alphas += EDGE_ANGLES * len(EDGE_ANGLES)
+        phis += [phi for phi in EDGE_ANGLES for _ in EDGE_ANGLES]
+        assert_reduces_as_the_reference(make_state, reference_state, alphas, phis)
+        for alpha, phi in zip(alphas, phis):
             state = make_state(alpha, phi)
             a0, a1 = state.amplitudes
             assert a0.imag == 0.0 and a0.real >= 0.0
@@ -76,8 +125,12 @@ class TestMakeState:
 class TestMakeDirection:
     def test_unit_norm_and_ranges(self):
         rng = np.random.default_rng(11)
-        for _ in range(200):
-            d = make_direction(rng.uniform(-20, 20), rng.uniform(-20, 20))
+        thetas, varphis = rng.uniform(-20, 20, (2, 200)).tolist()
+        thetas += EDGE_ANGLES * len(EDGE_ANGLES)
+        varphis += [varphi for varphi in EDGE_ANGLES for _ in EDGE_ANGLES]
+        assert_reduces_as_the_reference(make_direction, reference_direction, thetas, varphis)
+        for theta, varphi in zip(thetas, varphis):
+            d = make_direction(theta, varphi)
             assert math.hypot(math.hypot(d.n_vec[0], d.n_vec[1]), d.n_vec[2]) == pytest.approx(
                 1.0, abs=1e-12
             )
@@ -101,6 +154,18 @@ class TestMakeDirection:
     def test_degenerate_theta_is_legal(self):
         make_direction(0.0, 0.0)
         make_direction(math.pi, 1.0)
+
+
+@pytest.mark.parametrize("build, names", [(make_state, ("alpha", "phi")),
+                                          (make_direction, ("theta", "varphi"))])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("where", [0, 3, 6])
+def test_a_nonfinite_entry_anywhere_in_a_stack_is_named(build, names, bad, where):
+    for position, name in enumerate(names):
+        angles = [np.linspace(0.0, 3.0, 7), np.linspace(-1.0, 1.0, 7)]
+        angles[position][where] = bad
+        with pytest.raises(InvalidParameter, match=f"^{name} must be finite, got {bad!r}$"):
+            build(*angles)
 
 
 class TestBornAndExpectation:
