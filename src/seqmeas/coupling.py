@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .qubit import ObservableDirection, PureState, bloch_terms
+from .qubit import ObservableDirection, PureState, _require_finite, bloch_terms
 
 GAMMA_MIN = 1.0 / math.sqrt(2.0)
 
@@ -53,13 +53,10 @@ class Coupling:
     deco: float
 
     def __init__(self, gamma) -> None:
-        gamma = np.asarray(gamma, dtype=float)
-        if not np.isfinite(gamma).all():
-            raise InvalidParameter(f"gamma must be finite, got {gamma.tolist()!r}")
-        if ((gamma < GAMMA_MIN - _GAMMA_SLACK) | (gamma > 1.0 + _GAMMA_SLACK)).any():
-            raise InvalidParameter(
-                f"gamma must lie in [1/sqrt(2), 1], got {gamma.tolist()!r}"
-            )
+        gamma = np.asarray(_require_finite("gamma", gamma))
+        outside = gamma[(gamma < GAMMA_MIN - _GAMMA_SLACK) | (gamma > 1.0 + _GAMMA_SLACK)]
+        if outside.size:  # the first is named, not the whole stack
+            raise InvalidParameter(f"gamma must lie in [1/sqrt(2), 1], got {outside[0].item()!r}")
         gamma = np.clip(gamma, GAMMA_MIN, 1.0)
         gamma_bar = np.sqrt(np.maximum(0.0, 1.0 - gamma * gamma))
         # clamp: rounding at the domain endpoints can land an ulp outside [0, 1]

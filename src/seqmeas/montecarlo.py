@@ -38,10 +38,27 @@ from .qubit import a_direction, expectation
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _STREAM = 0xD1B54A32D192ED03
+# numpy scalars made once, not per chunk: the splitmix64 finalizer's steps, and the variate shift
+_MIXERS = tuple((np.uint64(shift), np.uint64(multiplier))
+                for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)))
+_SHIFT_31 = np.uint64(31)
+_SHIFT_11 = np.uint64(11)
 
 # Trials hashed as one array: a 2^16-element uint64 buffer is 512 KiB, so a
 # chunk's counters, hash words and comparisons stay in a core's L2 cache.
 _CHUNK = 1 << 16
+
+
+def _aligned(n: int, dtype) -> np.ndarray:
+    """An uninitialised ``n``-element array whose data starts on a 64-byte cache line.
+
+    Large blocks from glibc's allocator start 16 bytes past a page boundary, so a chunk
+    pass over them would straddle two cache lines with every SIMD load and store.
+    """
+    nbytes = n * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + 64, np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + nbytes].view(dtype)
 
 
 @functools.cache
@@ -53,35 +70,40 @@ def _trial_offsets() -> np.ndarray:
     Read-only, since every thread shares it; made on the first sample call,
     so that a run which samples nothing never pays for it.
     """
-    offsets = np.arange(1, _CHUNK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    offsets = np.multiply(np.arange(1, _CHUNK + 1, dtype=np.uint64), np.uint64(_GOLDEN),
+                          out=_aligned(_CHUNK, np.uint64))
     offsets.flags.writeable = False
     return offsets
 
 
-# Pairs of _CHUNK-element uint64 buffers that no shard is hashing in, reused so that sample
-# calls fault no new pages in; list.pop and list.append are atomic, so no two shards share
-# a pair.  It keeps one 1 MiB pair for each shard that ever ran at the same time as others.
+# Triples of _CHUNK-element buffers (hash words, scratch, bool mask) that no shard is using,
+# reused so that sample calls fault no new pages in; list.pop and list.append are atomic, so
+# no two shards share a triple.  Each buffer starts on a cache line (see _aligned), and so
+# does every partial chunk's [:n] slice of it.  The list keeps one 1.06 MiB triple for each
+# shard that ever ran at the same time as others.
 _FREE_BUFFERS: list = []
 
 
 def _mix64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, in place over uint64 ``z`` (returned); ``t`` is scratch."""
-    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        z ^= np.right_shift(z, np.uint64(shift), out=t)
-        z *= np.uint64(multiplier)
-    z ^= np.right_shift(z, np.uint64(31), out=t)
+    for shift, multiplier in _MIXERS:
+        z ^= np.right_shift(z, shift, out=t)
+        z *= multiplier
+    z ^= np.right_shift(z, _SHIFT_31, out=t)
     return z
 
 
 def trial_uniforms(seed: int, start: int, stop: int, buffers) -> np.ndarray:
     """64-bit hash words of trials ``start .. stop-1`` for this seed, hashed in ``buffers``.
 
-    Word ``z`` stands for the uniform [0, 1) variate ``(z >> 11) 2^-53``.  ``buffers`` is a
-    pair of ``_CHUNK``-element uint64 arrays, so at most ``_CHUNK`` trials are hashed, and
-    the result is a view of the first, valid until the pair is passed again.
+    Word ``z`` stands for the uniform [0, 1) variate ``(z >> 11) 2^-53``.  The first two
+    of ``buffers`` are ``_CHUNK``-element uint64 arrays, words and scratch (a shard passes
+    its free-list triple, whose third is its mask), so at most ``_CHUNK`` trials are
+    hashed, and the result is a view of the first, valid until it is passed again.
     """
-    z, t = (buffer[:stop - start] for buffer in buffers)
-    np.add(_trial_offsets()[:stop - start], np.uint64((start * _GOLDEN + seed) & _MASK64), out=z)
+    n = stop - start
+    z, t = buffers[0][:n], buffers[1][:n]
+    np.add(_trial_offsets()[:n], np.uint64((start * _GOLDEN + seed) & _MASK64), out=z)
     return _mix64(z, t)
 
 
@@ -121,19 +143,24 @@ def _thresholds(cum: np.ndarray) -> np.ndarray:
 
 def _counts_below(thresholds: np.ndarray, seed: int, start: int, stop: int) -> list[int]:
     """Trials ``start .. stop-1`` whose variates are below each threshold."""
-    below = [0, 0, 0]
+    k0, k1, k2 = thresholds.tolist()
+    n0 = n1 = n2 = 0
     try:
         buffers = _FREE_BUFFERS.pop()
     except IndexError:
-        buffers = (np.empty(_CHUNK, np.uint64), np.empty(_CHUNK, np.uint64))
+        buffers = tuple(_aligned(_CHUNK, dtype) for dtype in (np.uint64, np.uint64, np.bool_))
     try:
         for lo in range(start, stop, _CHUNK):
-            z = trial_uniforms(seed, lo, min(lo + _CHUNK, stop), buffers)
-            variates = np.right_shift(z, np.uint64(11), out=z).view(np.float64)
-            below = [n + int(np.count_nonzero(variates < k)) for n, k in zip(below, thresholds)]
+            hi = min(lo + _CHUNK, stop)
+            z = trial_uniforms(seed, lo, hi, buffers)
+            variates = np.right_shift(z, _SHIFT_11, out=z).view(np.float64)
+            mask = buffers[2][:hi - lo]
+            n0 += np.count_nonzero(np.less(variates, k0, out=mask))
+            n1 += np.count_nonzero(np.less(variates, k1, out=mask))
+            n2 += np.count_nonzero(np.less(variates, k2, out=mask))
     finally:
         _FREE_BUFFERS.append(buffers)
-    return below
+    return [int(n0), int(n1), int(n2)]
 
 
 def _thread_count(workers: int, trials: int) -> int:

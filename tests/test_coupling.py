@@ -59,6 +59,35 @@ class TestCoupling:
         with pytest.raises(InvalidParameter):
             Coupling(gamma)
 
+    @pytest.mark.parametrize("gamma, message", [
+        (0.5, "gamma must lie in [1/sqrt(2), 1], got 0.5"),
+        (1.0 + 2e-12, "gamma must lie in [1/sqrt(2), 1], got 1.000000000002"),
+        (float("nan"), "gamma must be finite, got nan"),
+        (-float("inf"), "gamma must be finite, got -inf"),
+    ])
+    def test_a_scalar_refusal_names_the_value(self, gamma, message):
+        with pytest.raises(InvalidParameter) as refused:
+            Coupling(gamma)
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("bad, message", [
+        (float("nan"), "gamma must be finite, got nan"),
+        (2.0, "gamma must lie in [1/sqrt(2), 1], got 2.0"),
+    ])
+    @pytest.mark.parametrize("at", [0, 50_000, 100_000])
+    def test_a_bad_entry_in_a_stack_is_named_alone(self, bad, message, at):
+        # the 10^5 good amplitudes are not printed
+        with pytest.raises(InvalidParameter) as refused:
+            Coupling(np.insert(np.full(100_000, 0.8), at, bad))
+        assert str(refused.value) == message
+        assert len(message) < 100
+
+    def test_the_first_of_several_bad_entries_is_named(self):
+        with pytest.raises(InvalidParameter, match=r"got 0\.5$"):
+            Coupling([0.8, 0.5, 2.0, 0.7])
+        with pytest.raises(InvalidParameter, match="got inf$"):
+            Coupling([0.8, 2.0, np.inf, np.nan])
+
     def test_from_kappa(self):
         assert Coupling.from_kappa(0.6).gamma == pytest.approx(math.sqrt(0.8), abs=1e-12)
         assert Coupling.from_kappa(0.0).gamma == pytest.approx(GAMMA_MIN, abs=1e-12)

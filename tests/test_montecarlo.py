@@ -348,6 +348,38 @@ class TestChunkBuffers:
         assert {id(pair) for pair in montecarlo._FREE_BUFFERS} == free
 
 
+class TestAlignedBuffers:
+    # the kernel's passes run over arrays that start on a 64-byte cache line
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.bool_, np.float64])
+    @pytest.mark.parametrize("n", [1, 7, montecarlo._CHUNK])
+    def test_aligned_arrays(self, n, dtype):
+        for _ in range(4):  # fresh blocks land at different offsets
+            array = montecarlo._aligned(n, dtype)
+            assert array.shape == (n,) and array.dtype == dtype
+            assert array.flags.c_contiguous and array.flags.writeable
+            assert array.ctypes.data % 64 == 0
+
+    def test_offsets_and_free_buffers_start_on_a_cache_line(self, worked_setup):
+        sample(worked_setup, 3 * montecarlo._CHUNK + 11, 5)
+        sample(worked_setup, 3 * montecarlo._CHUNK + 11, 5, workers=2)
+        offsets = montecarlo._trial_offsets()
+        assert offsets.ctypes.data % 64 == 0 and not offsets.flags.writeable
+        assert montecarlo._FREE_BUFFERS
+        for buffers in montecarlo._FREE_BUFFERS:
+            assert [b.dtype for b in buffers] == [np.uint64, np.uint64, np.bool_]
+            assert all(b.shape == (montecarlo._CHUNK,) for b in buffers)
+            assert all(b.ctypes.data % 64 == 0 for b in buffers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("trials", [1, 2**16 - 1, 2**16 + 1, 3 * 2**16 + 11])
+    def test_partial_chunks_count_as_the_reference(self, worked_setup, trials, workers):
+        expected = reference_counts(cumulative_law(worked_setup), 17, 0, trials)
+        counts = sample(worked_setup, trials, 17, workers=workers).counts
+        assert counts == tuple(expected)
+        assert all(type(c) is int for c in counts)
+
+
 class TestEstimate:
     def test_plug_in_consistency_exact_batch(self):
         # theta=0, gamma^2=0.8, sin^2 a = 0.25: joint cells are (0.2, 0.15, 0.05, 0.6)
