@@ -287,7 +287,7 @@ class TestThreadFanOut:
 
 
 class TestChunkBuffers:
-    # every shard hashes in a pair of chunk buffers that it takes from a free list
+    # every shard hashes in a triple of chunk buffers that it takes from a free list
 
     def test_interleaved_calls_leak_nothing_between_calls(self, worked_setup):
         calls = [(worked_setup, 100_001, 5, 1), (ZERO_CELL_SETUP, 1, 7, 1),
