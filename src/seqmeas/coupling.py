@@ -29,13 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter
-from .qubit import ObservableDirection, PureState, _require_finite, bloch_terms
+from .qubit import ObservableDirection, PureState, _field, _require_finite, bloch_terms
 
 GAMMA_MIN = 1.0 / math.sqrt(2.0)
-
-# Slack for accepting gamma values that round just outside [1/sqrt(2), 1].
-_GAMMA_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,25 +49,18 @@ class Coupling:
     deco: float
 
     def __init__(self, gamma) -> None:
-        gamma = np.asarray(_require_finite("gamma", gamma))
-        outside = gamma[(gamma < GAMMA_MIN - _GAMMA_SLACK) | (gamma > 1.0 + _GAMMA_SLACK)]
-        if outside.size:  # the first is named, not the whole stack
-            raise InvalidParameter(f"gamma must lie in [1/sqrt(2), 1], got {outside[0].item()!r}")
-        gamma = np.clip(gamma, GAMMA_MIN, 1.0)
+        gamma = np.asarray(_require_finite("gamma", gamma, GAMMA_MIN, 1.0, "[1/sqrt(2), 1]"))
         gamma_bar = np.sqrt(np.maximum(0.0, 1.0 - gamma * gamma))
         # clamp: rounding at the domain endpoints can land an ulp outside [0, 1]
         kappa, deco = np.clip([2.0 * gamma * gamma - 1.0, 2.0 * gamma * gamma_bar], 0.0, 1.0)
         for name, value in zip(("gamma", "gamma_bar", "kappa", "deco"),
                                (gamma, gamma_bar, kappa, deco)):
-            object.__setattr__(self, name, value if value.ndim else float(value))
+            object.__setattr__(self, name, _field(value))
 
     @staticmethod
-    def from_kappa(kappa: float) -> "Coupling":
-        kappa = float(kappa)
-        if not math.isfinite(kappa) or kappa < -_GAMMA_SLACK or kappa > 1.0 + _GAMMA_SLACK:
-            raise InvalidParameter(f"kappa must lie in [0, 1], got {kappa!r}")
-        kappa = min(1.0, max(0.0, kappa))
-        return Coupling(math.sqrt(1.0 + kappa) * GAMMA_MIN)  # exact at kappa = 0 and at 1
+    def from_kappa(kappa) -> "Coupling":
+        kappa = _require_finite("kappa", kappa, 0.0, 1.0, "[0, 1]")
+        return Coupling(np.sqrt(1.0 + kappa) * GAMMA_MIN)  # exact at kappa = 0 and at 1
 
 
 @dataclass(frozen=True)

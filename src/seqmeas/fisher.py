@@ -28,7 +28,7 @@ from .coupling import (
     meter_law,
 )
 from .errors import DegenerateDistribution, InvalidParameter, UnboundedVariance
-from .qubit import ObservableDirection, PureState, a_direction, born_probability
+from .qubit import ObservableDirection, PureState, _require_count, a_direction, born_probability
 
 # Offset keeping the swept couplings strictly away from the degenerate endpoints.
 ENDPOINT_OFFSET = 1e-6
@@ -95,8 +95,7 @@ def precisions(setup: JointSetup) -> FisherReport:
 
 def cramer_rao_bound(fi: float, trials: int) -> float:
     """Lowest achievable estimator variance with ``trials`` independent records."""
-    if trials < 1:
-        raise InvalidParameter(f"trials must be >= 1, got {trials!r}")
+    trials = _require_count("trials", trials, 1)
     if fi <= 0.0:
         raise UnboundedVariance("zero Fisher information: the variance bound is infinite")
     return 1.0 / (trials * fi)
@@ -114,8 +113,7 @@ def tradeoff_curve(state: PureState, direction: ObservableDirection, grid: int) 
     are rejected, as are states whose second-measurement statistics do not
     depend on the coupling at all (no trade-off exists there).
     """
-    if grid < 2:
-        raise InvalidParameter(f"grid must be >= 2, got {grid!r}")
+    grid = _require_count("grid", grid, 2)
     lo, hi = GAMMA_MIN + ENDPOINT_OFFSET, 1.0 - ENDPOINT_OFFSET
     sweep = Coupling(lo + (hi - lo) * np.arange(grid) / (grid - 1))
     # Fails with DegenerateDistribution for eigenstates of either observable.

@@ -31,9 +31,9 @@ import numpy as np
 
 from .correction import estimator_weights
 from .coupling import JointSetup, joint_distribution
-from .errors import DegenerateDistribution, InvalidParameter
+from .errors import DegenerateDistribution
 from .fisher import cramer_rao_bound, joint_informations
-from .qubit import a_direction, expectation
+from .qubit import _require_count, a_direction, expectation
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -176,10 +176,8 @@ def sample(setup: JointSetup, trials: int, seed: int, workers: int = 1) -> Trial
     Several shards run one per thread and a shard's exception is re-raised here;
     the caller only waits, so a tracer parents the shards on its open span.
     """
-    if trials < 1:
-        raise InvalidParameter(f"trials must be >= 1, got {trials!r}")
-    if workers < 1:
-        raise InvalidParameter(f"workers must be >= 1, got {workers!r}")
+    trials = _require_count("trials", trials, 1)
+    workers = _require_count("workers", workers, 1)
     thresholds = _thresholds(np.cumsum(joint_distribution(setup)))
 
     threads = _thread_count(workers, trials)
@@ -242,8 +240,7 @@ def _z_score(mean: float, truth: float, se: float) -> float:
 def _batch_estimates(
     setup: JointSetup, trials: int, repeats: int, seed: int, workers: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if repeats < 2:  # the spread of fewer repeats is undefined
-        raise InvalidParameter(f"repeats must be >= 2, got {repeats!r}")
+    repeats = _require_count("repeats", repeats, 2)  # the spread of fewer repeats is undefined
     w_a, w_b = estimator_weights(setup)  # also fails fast on degenerate couplings
     est_a_vals = np.empty(repeats)
     est_b_vals = np.empty(repeats)

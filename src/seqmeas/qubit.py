@@ -24,6 +24,7 @@ amplitudes, the Bloch direction and the Bloch terms are then arrays too.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +39,26 @@ def _field(value: np.ndarray) -> float | np.ndarray:
     return value if value.ndim else float(value)
 
 
-def _require_finite(name: str, value) -> float | np.ndarray:
+def _require_finite(name: str, value, low: float = -math.inf, high: float = math.inf,
+                    interval: str = "") -> float | np.ndarray:
+    """Finite reals; given an ``interval``, within 1e-12 of [low, high] and clipped into it."""
     value = np.asarray(value, dtype=float)
     bad = value[~np.isfinite(value)]  # the first is named, not the whole stack
     if bad.size:
         raise InvalidParameter(f"{name} must be finite, got {bad[0].item()!r}")
+    if interval:  # no array pass for the angles, which have no interval
+        bad = value[(value < low - 1e-12) | (value > high + 1e-12)]
+        if bad.size:
+            raise InvalidParameter(f"{name} must lie in {interval}, got {bad[0].item()!r}")
+        value = np.clip(value, low, high)
     return _field(value)
+
+
+def _require_count(name: str, value, low: int) -> int:
+    """An integer of at least ``low``: a float or a bool is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise InvalidParameter(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def _wrap_two_pi(angle: float | np.ndarray) -> np.ndarray:

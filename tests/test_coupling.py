@@ -101,6 +101,38 @@ class TestCoupling:
         assert weakest.kappa == 0.0
         assert Coupling.from_kappa(1.0).deco == 0.0
 
+    @pytest.mark.parametrize("kappa, message", [
+        (2.0, "kappa must lie in [0, 1], got 2.0"),
+        (-0.5, "kappa must lie in [0, 1], got -0.5"),
+        (float("nan"), "kappa must be finite, got nan"),
+    ])
+    def test_a_scalar_kappa_refusal_names_the_value(self, kappa, message):
+        with pytest.raises(InvalidParameter) as refused:
+            Coupling.from_kappa(kappa)
+        assert str(refused.value) == message
+
+    def test_from_kappa_takes_a_stack(self):
+        # edges and entries within the 1e-12 slack, then uniform strengths
+        kappas = np.concatenate([[0.0, 1.0, -1e-13, 1.0 + 1e-13, -0.0, 5e-324],
+                                 np.random.default_rng(7).random(100_000)])
+        stacked = Coupling.from_kappa(kappas)
+        # 10^5 one-entry calls take seconds, so every 97th entry stands for the rest
+        for i in [*range(6), *range(6, len(kappas), 97), len(kappas) - 1]:
+            one = Coupling.from_kappa(kappas[i])
+            assert [getattr(stacked, name)[i] for name in ("gamma", "gamma_bar", "kappa", "deco")] \
+                == [one.gamma, one.gamma_bar, one.kappa, one.deco]
+
+    @pytest.mark.parametrize("bad, message", [
+        (float("nan"), "kappa must be finite, got nan"),
+        (1.5, "kappa must lie in [0, 1], got 1.5"),
+    ])
+    @pytest.mark.parametrize("at", [0, 50_000, 100_000])
+    def test_a_bad_kappa_in_a_stack_is_named_alone(self, bad, message, at):
+        with pytest.raises(InvalidParameter) as refused:
+            Coupling.from_kappa(np.insert(np.full(100_000, 0.3), at, bad))
+        assert str(refused.value) == message
+        assert len(message) < 45
+
 
 class TestEntangledState:
     def test_eigenstate_example(self):

@@ -14,6 +14,7 @@ from seqmeas import (
     JointSetup,
     TrialBatch,
     a_direction,
+    cramer_rao_bound,
     crb_check,
     estimate,
     estimator_weights,
@@ -22,6 +23,7 @@ from seqmeas import (
     make_direction,
     make_state,
     sample,
+    tradeoff_curve,
     unbiasedness_check,
 )
 from seqmeas.coupling import GAMMA_MIN
@@ -558,8 +560,34 @@ class TestCrbCheck:
 @pytest.mark.parametrize("check", [unbiasedness_check, crb_check])
 def test_a_single_repeat_is_refused(worked_setup, check):
     # the spread of one estimate, and so its standard error and variance, is undefined
-    with pytest.raises(InvalidParameter, match="repeats must be >= 2"):
+    with pytest.raises(InvalidParameter, match="repeats must be an integer >= 2"):
         check(worked_setup, trials=1000, repeats=1, seed=3)
+
+
+# Each count a caller passes, the name its refusal gives, and a call that takes it as n.
+COUNT_CALLS = {
+    "sample trials": ("trials", lambda setup, n: sample(setup, n, 1)),
+    "sample workers": ("workers", lambda setup, n: sample(setup, 1000, 1, workers=n)),
+    "unbiasedness_check repeats": ("repeats", lambda setup, n: unbiasedness_check(setup, 1000, n, 3)),
+    "crb_check repeats": ("repeats", lambda setup, n: crb_check(setup, 1000, n, 3)),
+    "tradeoff_curve grid": ("grid", lambda setup, n: tradeoff_curve(setup.state, setup.b_dir, n)),
+    "cramer_rao_bound trials": ("trials", lambda setup, n: cramer_rao_bound(1.0, n)),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True])
+@pytest.mark.parametrize("name, call", COUNT_CALLS.values(), ids=list(COUNT_CALLS))
+def test_a_count_that_is_not_an_integer_is_refused(worked_setup, name, call, bad):
+    # 2.5 trials used to draw 2 and count a fraction; a float or a bool is refused, not truncated
+    with pytest.raises(InvalidParameter, match=rf"^{name} must be an integer >= [12], got {bad!r}$"):
+        call(worked_setup, bad)
+
+
+def test_a_numpy_integer_count_samples_as_the_int_does():
+    setup = default_setup()
+    batch = sample(setup, np.int64(300_001), 5, workers=np.int64(2))
+    assert batch == sample(setup, 300_001, 5, workers=2)
+    assert [type(n) for n in (*batch.counts, batch.trials)] == [int] * 5
 
 
 def report_free_crb(setup, trials):

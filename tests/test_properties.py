@@ -4,6 +4,9 @@ The examples are derandomized, so every run checks the same cases, and no
 example database is written.
 """
 
+import contextlib
+import csv
+import io
 import json
 import math
 import struct
@@ -17,7 +20,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from seqmeas import oracle  # noqa: E402
-from seqmeas.cli import _csv_cell, _fmt9, _jsonify  # noqa: E402
+from seqmeas.cli import (MAX_GRID, MAX_SCAN_POINTS, MAX_TRIALS, MAX_VERIFY_REPEATS,  # noqa: E402
+                         MAX_VERIFY_TRIALS, _csv_cell, _fmt9, _jsonify, build_parser, main)
 from seqmeas.correction import ZnzdClass, estimator_weights, is_znzd, znzd_masks  # noqa: E402
 from seqmeas.coupling import (  # noqa: E402
     GAMMA_MIN,
@@ -294,3 +298,95 @@ def test_rows_render_as_the_json_encoder_and_the_csv_cells_do(table):
     # one format call prints what formatting, parsing back and formatting again printed
     for v in (v for row in rows for v in row):
         assert _fmt9(v) == f"{float(f'{v:.9g}') + 0.0:.9g}"
+
+
+# The CLI contract: whatever numbers a command line holds, a run exits 0 with strict JSON or
+# rectangular CSV on stdout, or exits 2 with a message and no traceback on stderr.
+EDGE_REALS = (0.0, -0.0, 1e308, -1e308, 5e-324, math.nan, math.inf, -math.inf)
+# each coupling edge, one ulp past it (within the 1e-12 slack) and 2e-12 past it (refused)
+GAMMA_EDGES = (GAMMA_MIN, 1.0, math.nextafter(GAMMA_MIN, 0.0), math.nextafter(1.0, 2.0),
+               GAMMA_MIN - 2e-12, 1.0 + 2e-12)
+KAPPA_EDGES = (0.0, 1.0, -5e-324, math.nextafter(1.0, 2.0), -2e-12, 1.0 + 2e-12)
+reals = st.floats() | st.sampled_from(EDGE_REALS)
+
+
+def captured(call):
+    """What ``call()`` returns, or the code it exits with, and the text on stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def command_lines(draw):
+    def given_as(option, value):  # "--x=-1e+308" passes the value; "--x -1e+308" a second flag
+        return [f"{option}={value}"] if draw(st.booleans()) else [option, str(value)]
+
+    command = draw(st.sampled_from(["probs", "estimate", "tradeoff", "znzd"]))
+    argv = [command, "--format", draw(st.sampled_from(["json", "csv"]))]
+    for option in ("--alpha", "--phi", "--theta", "--varphi", "--degrees"):
+        if draw(st.booleans()):
+            argv += [option] if option == "--degrees" else given_as(option, draw(reals))
+    if command in ("probs", "estimate"):
+        coupling = draw(st.sampled_from([None, ("--gamma", GAMMA_EDGES, GAMMA_MIN, 1.0),
+                                         ("--kappa", KAPPA_EDGES, 0.0, 1.0)]))
+        if coupling:
+            option, edges, low, high = coupling
+            argv += given_as(option, draw(st.sampled_from(edges) | st.floats(low, high) | reals))
+    if command == "estimate":
+        argv += ["--trials", str(draw(st.integers(1, 10**4))),
+                 "--seed", str(draw(st.integers(0, 2**64 - 1)))]
+    if command == "tradeoff":
+        argv += ["--grid", str(draw(st.integers(2, 1000)))]
+    if command == "znzd" and draw(st.booleans()):
+        argv += ["--scan", "--scan-points", str(draw(st.integers(4, 60)))]
+    if command == "znzd" and draw(st.booleans()):
+        argv += given_as("--tol", draw(st.sampled_from([1e-9, 0.7, 0.0, -1e-9]) | reals))
+    return argv
+
+
+def refuse(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+@PROPERTY
+@given(argv=command_lines())
+def test_every_command_line_gives_a_valid_output_or_exit_code_2(argv):
+    code, out, err = captured(lambda: main(argv))
+    assert code in (0, 2)
+    if code == 0:
+        if "csv" in argv:
+            rows = list(csv.reader(io.StringIO(out)))
+            assert rows and len({len(row) for row in rows}) == 1
+        else:
+            json.loads(out, parse_constant=refuse)
+    else:
+        assert err.strip() and "Traceback" not in err
+
+
+# Each bounded integer option, and the range its parser takes.
+CAPPED_OPTIONS = [
+    ("estimate", "--trials", 1, MAX_TRIALS),
+    ("estimate", "--seed", 0, 2**64 - 1),
+    ("tradeoff", "--grid", 2, MAX_GRID),
+    ("znzd", "--scan-points", 4, MAX_SCAN_POINTS),
+    ("verify", "--verify-trials", 1, MAX_VERIFY_TRIALS),
+    ("verify", "--verify-repeats", 2, MAX_VERIFY_REPEATS),
+]
+
+
+@PROPERTY
+@given(capped=st.sampled_from(CAPPED_OPTIONS), at_cap=st.booleans(), step=st.integers(-1, 1))
+def test_each_bound_is_taken_and_one_past_it_is_refused(capped, at_cap, step):
+    # the parser alone: a run at MAX_TRIALS would draw 10^10 trials
+    command, option, low, high = capped
+    value = (high if at_cap else low) + step
+    args, _, err = captured(lambda: build_parser().parse_args([command, option, str(value)]))
+    if low <= value <= high:
+        assert getattr(args, option[2:].replace("-", "_")) == value
+    else:
+        assert args == 2 and f"argument {option}: " in err
