@@ -65,9 +65,10 @@ MAX_TRIALS = 10**10
 MAX_VERIFY_TRIALS = 10**7
 MAX_VERIFY_REPEATS = 500
 
-# Rows per write of _write_rows; a block's text lives until it is written. 512 ran as fast as
-# 1024-4096 on 10^4 rows, and bigger blocks hold more (peak 36, 39, 45 MiB at 512, 4096, 16384).
-_ROW_BLOCK = 512
+# Rows per write of _write_rows; a block's text lives until it is written. On 10^4 trade-off
+# rows (4 columns) the JSON took 6.7, 5.4, 6.6, 6.3 and 8.1 ms at 512, 1024, 2048, 4096 and 8192
+# rows a block, best when a block's arrays stay in cache; 10^5 rows peaked at 42-44 MiB for each.
+_ROW_BLOCK = 1024
 
 
 def _round9(x: float) -> float:
@@ -129,29 +130,67 @@ def _json_cell(value: float) -> str:
     return repr(_round9(value)) if math.isfinite(value) else "null"
 
 
+# The text of a fast cell (see _fixed_cells) is laid out from its characters, nine digits "a"
+# to "i" and then ".", "0", "-" and NUL: row e + 4 of _LAYOUTS gives, for exponent e, the
+# character at each of 16 places, and row e + 16 the same after a "-".
+_CHARS = "abcdefghi.0-\0"
+_LAYOUTS = np.array([[_CHARS.index(c) for c in (sign + (
+    "0." + "0" * (-e - 1) + _CHARS[:9] if e < 0 else f"{_CHARS[:e + 1]}.{_CHARS[e + 1:9]}")
+).ljust(16, "\0")] for sign in ("", "-") for e in range(-4, 8)])
+_UNITS = 10 ** np.arange(9, -1, -1, dtype=np.uint32)[:, None]  # 10^9, then each digit's unit
+_POW10 = 10.0 ** np.arange(23)  # exact: 10^k is a double for k <= 22
+
+
+def _fixed_cells(values: np.ndarray) -> tuple[list[bytes], np.ndarray]:
+    """The text '%.9g' writes for each value, as bytes, and a mask of the values it is right for.
+
+    A value qualifies when 1e-4 <= |x| < 1e8, its nine-digit decimal keeps a fraction digit and
+    is not within 1e-6 of a last-digit rounding tie: '%.9g' and the repr of the rounded float
+    then write the same fixed-notation text.  The text of any other value is not valid.
+    """
+    magnitude = np.abs(values)
+    fast = (magnitude >= 1e-4) & (magnitude < 1e8)  # False for nan too
+    magnitude = np.where(fast, magnitude, 1.0)
+    e = np.floor(np.log10(magnitude)).astype(int)
+    # one correctly rounded product, within 6e-8 of the exact one: rint rounds it as '%.9g'
+    # rounds the value wherever that is further than 1e-6 from a tie
+    scaled = magnitude * _POW10[8 - e]
+    digits = np.rint(scaled)
+    carry = digits == 1e9  # rounded up to the next decade, or log10 landed one decade low
+    e = np.minimum(e + carry, 7)  # a carry to 1e8 is an integer, which the fraction test refuses
+    digits = np.where(carry, 1e8, digits).astype(np.uint32)
+    quotients = digits // _UNITS  # row k: the number the digits before digit k make
+    keep = quotients[:9] * _UNITS[:9] != digits  # digit k, or one after it, is not 0
+    fast &= (keep.sum(axis=0) > e + 1) & (np.abs(scaled - np.floor(scaled) - 0.5) > 1e-6)
+    chars = np.empty((len(_CHARS), len(values)), np.uint8)  # one column per value
+    chars[:9] = (quotients[1:] - 10 * quotients[:-1] + ord("0")) * keep  # trailing zeros NUL
+    chars[9:] = np.frombuffer(_CHARS[9:].encode(), np.uint8)[:, None]
+    layout = e + 4 + 12 * (values < 0)
+    text = np.zeros((16, len(values)), np.uint8)
+    for k in np.flatnonzero(np.bincount(layout[fast], minlength=24)).tolist():
+        text |= chars[_LAYOUTS[k]] * (layout == k)
+    return np.ascontiguousarray(text.T).view("S16").ravel().tolist(), fast
+
+
 def _write_rows(out: TextIO, columns: list[str], rows, fmt: str) -> None:
     """Write rows of floats as CSV, or as the JSON text ``json.dumps(..., indent=2)`` writes."""
     table = np.asarray(rows, dtype=float).reshape(-1, len(columns))
     if fmt == "csv":
         out.write(",".join(columns) + "\n")
-        row = ",".join(["%.9g"] * len(columns)) + "\n"
+        row, cell = ",".join(["%s"] * len(columns)) + "\n", _fmt9
     else:
         out.write("[" if len(table) else "[]\n")
         names = (json.dumps(name).replace("%", "%%") for name in columns)
         row = ",\n  {\n" + ",\n".join(f"    {name}: %s" for name in names) + "\n  }"
+        cell = _json_cell
+    row = row.encode()
     with np.errstate(invalid="ignore"):  # a signalling NaN, or inf - inf, sets numpy's flag
         for start in range(0, len(table), _ROW_BLOCK):
             values = (table[start:start + _ROW_BLOCK] + 0.0).ravel()  # +0.0 normalizes -0.0
-            cells = flat = values.tolist()
-            if fmt == "json":
-                cells = (("%.9g " * len(flat)) % tuple(flat)).split()
-                # _json_cell for a superset of the cells whose text is inf/nan, has an "e" or no "."
-                magnitude = np.abs(values)
-                odd = (~np.isfinite(values) | (magnitude < 1e-4) | (magnitude >= 1e8)
-                       | (np.abs(values - np.rint(values)) <= 1e-8 * np.maximum(1.0, magnitude)))
-                for i in np.flatnonzero(odd).tolist():
-                    cells[i] = _json_cell(flat[i])
-            text = (row * (len(flat) // len(columns))) % tuple(cells)
+            cells, fast = _fixed_cells(values)
+            for i, x in zip(np.flatnonzero(~fast).tolist(), values[~fast].tolist()):
+                cells[i] = cell(x).encode()
+            text = (row * (len(values) // len(columns)) % tuple(cells)).decode()
             out.write(text[1:] if fmt == "json" and start == 0 else text)  # no "," before row 0
     if fmt == "json" and len(table):
         out.write("\n]\n")

@@ -178,6 +178,7 @@ def sample(setup: JointSetup, trials: int, seed: int, workers: int = 1) -> Trial
     """
     trials = _require_count("trials", trials, 1)
     workers = _require_count("workers", workers, 1)
+    seed = _require_count("seed", seed, 0, _MASK64)  # a larger seed would alias a smaller one
     thresholds = _thresholds(np.cumsum(joint_distribution(setup)))
 
     threads = _thread_count(workers, trials)

@@ -54,10 +54,12 @@ def _require_finite(name: str, value, low: float = -math.inf, high: float = math
     return _field(value)
 
 
-def _require_count(name: str, value, low: int) -> int:
-    """An integer of at least ``low``: a float or a bool is refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise InvalidParameter(f"{name} must be an integer >= {low}, got {value!r}")
+def _require_count(name: str, value, low: int, high: int | None = None) -> int:
+    """An integer in ``[low, high]``: a float or a bool is refused, not truncated."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low
+            or high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise InvalidParameter(f"{name} must be an integer {bound}, got {value!r}")
     return int(value)
 
 

@@ -15,6 +15,7 @@ from seqmeas.cli import (MAX_GRID, MAX_SCAN_POINTS, MAX_TRIALS, MAX_VERIFY_REPEA
                          MAX_VERIFY_TRIALS, _csv_cell, _jsonify, _render_report, _write_rows,
                          main)
 from seqmeas.correction import ZnzdClass, is_znzd, znzd_masks
+from seqmeas.fisher import tradeoff_curve
 from seqmeas.qubit import make_direction, make_state
 
 E1_ARGS = [
@@ -323,6 +324,59 @@ def test_rows_around_one_block_render_as_the_json_encoder_and_the_csv_cells_do(c
             assert max(out.sizes) <= max((len(text_of(block)) for block in blocks),
                                          default=len(text_of(rows)))
             assert len(out.sizes) >= len(blocks)
+
+
+def steps(value, ulps):
+    """``value`` moved by each of ``ulps`` units in the last place."""
+    moved = []
+    for n in ulps:
+        x = value
+        for _ in range(abs(n)):
+            x = math.nextafter(x, math.copysign(math.inf, n))
+        moved.append(x)
+    return moved
+
+
+def renderer_edges():
+    """Values at each edge of the rules that pick the numpy renderer or the per-cell one."""
+    values = steps(1e-4, (-1, 0, 1)) + steps(1e8, (-1, 0, 1)) + [0.9999999996, 12345678.96,
+                                                                 1234567.125]
+    # near-ties whose digits times the power of ten round onto the tie, but lie above or below it
+    values += [0.0006039286665, 0.006319693745, 0.2007809635, 3859.702565]
+    for e in range(-5, 9):  # the exponents of the numpy renderer, and one decade either side
+        unit = 10.0 ** (e - 8)
+        for digits in (10**8, 123456789, 900000001, 10**9 - 1, 10**9 - 0.25):
+            values += steps(digits * unit, (-1, 0, 1)) + steps((digits + 0.5) * unit,
+                                                               (-2, -1, 0, 1, 2))
+        values += steps(10.0 ** e, (-1, 0, 1))
+        # an exact binary tie between two nine-digit decimals, as 1234567.125 is at e = 6:
+        # (digits + 1/2) 10^(e - 8) = m / 2^(9 - e) for 2 digits + 1 = m 5^(8 - e), m odd
+        values.append(((2 * 10**8 // 5 ** (8 - e) + 1) | 1) / 2 ** (9 - e))
+    return values + [-x for x in values]
+
+
+def test_renderer_edges_render_as_the_json_encoder_and_the_csv_cells_do():
+    values = renderer_edges()
+    rows = [[x] for x in values]
+    json_text = json.dumps(_jsonify([{"x": x} for x in values]), indent=2) + "\n"
+    assert written_rows(["x"], rows, "json").splitlines() == json_text.splitlines()
+    csv_lines = ["x", *map(_csv_cell, values)]
+    assert written_rows(["x"], rows, "csv").splitlines() == csv_lines
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_tradeoff_rows_take_the_per_cell_rules_for_under_one_percent_of_cells(monkeypatch, fmt):
+    # the per-cell rules are right for every value but slow; a fall back to them for the
+    # ordinary cells would not change a byte, only the time
+    calls = []
+    for name in ("_json_cell", "_fmt9"):
+        monkeypatch.setattr(cli, name, lambda x, real=getattr(cli, name): calls.append(x)
+                            or real(x))
+    setup = verify.default_setup()
+    rows = tradeoff_curve(setup.state, setup.b_dir, 10_000)
+    text = written_rows(["gamma", "kappa", "epsilon", "eta"], rows, fmt)
+    assert len(text.splitlines()) > 10_000
+    assert 0 < len(calls) < 0.01 * 4 * len(rows)
 
 
 _SCAN_RNG = random.Random(8)

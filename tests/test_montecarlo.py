@@ -590,6 +590,24 @@ def test_a_numpy_integer_count_samples_as_the_int_does():
     assert [type(n) for n in (*batch.counts, batch.trials)] == [int] * 5
 
 
+@pytest.mark.parametrize("bad", [-1, 2**64, 2**64 + 5, 2.5, True, np.float64(3)],
+                         ids=["-1", "2^64", "2^64+5", "2.5", "True", "float64"])
+def test_a_seed_outside_64_bits_or_not_an_integer_is_refused(bad):
+    # 2^64 + 5 used to alias seed 5, and 2.5 to raise a bare TypeError in the hash
+    with pytest.raises(InvalidParameter,
+                       match=rf"^seed must be an integer in \[0, {2**64 - 1}\], got "):
+        sample(default_setup(), 1000, bad)
+
+
+@pytest.mark.parametrize("seed", [np.uint64(5), 2**64 - 1, np.uint64(2**64 - 1)],
+                         ids=["uint64", "2^64-1", "uint64 2^64-1"])
+def test_a_seed_in_64_bits_samples_as_the_int_does(seed):
+    setup = default_setup()
+    batch = sample(setup, 100_003, seed)
+    assert batch == sample(setup, 100_003, int(seed))
+    assert batch != sample(setup, 100_003, int(seed) - 1)  # another seed draws other counts
+
+
 def report_free_crb(setup, trials):
     from seqmeas import precisions
 
