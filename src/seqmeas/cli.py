@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -65,10 +66,11 @@ MAX_TRIALS = 10**10
 MAX_VERIFY_TRIALS = 10**7
 MAX_VERIFY_REPEATS = 500
 
-# Rows per write of _write_rows; a block's text lives until it is written. On 10^4 trade-off
-# rows (4 columns) the JSON took 6.7, 5.4, 6.6, 6.3 and 8.1 ms at 512, 1024, 2048, 4096 and 8192
-# rows a block, best when a block's arrays stay in cache; 10^5 rows peaked at 42-44 MiB for each.
-_ROW_BLOCK = 1024
+# Cells per write of _write_rows, cut at whole rows: 1024 trade-off rows or 2048 ZNZD scan rows.
+# A block's text lives until it is written. On 10^4 trade-off rows the JSON took 6.7, 5.4, 6.6,
+# 6.3 and 8.1 ms at 2048, 4096, 8192, 16384 and 32768 cells a block, best when a block's arrays
+# stay in cache; 10^5 rows peaked at 42-44 MiB for each.
+_BLOCK_CELLS = 4096
 
 
 def _round9(x: float) -> float:
@@ -183,10 +185,10 @@ def _write_rows(out: TextIO, columns: list[str], rows, fmt: str) -> None:
         names = (json.dumps(name).replace("%", "%%") for name in columns)
         row = ",\n  {\n" + ",\n".join(f"    {name}: %s" for name in names) + "\n  }"
         cell = _json_cell
-    row = row.encode()
+    row, block = row.encode(), _BLOCK_CELLS // len(columns)
     with np.errstate(invalid="ignore"):  # a signalling NaN, or inf - inf, sets numpy's flag
-        for start in range(0, len(table), _ROW_BLOCK):
-            values = (table[start:start + _ROW_BLOCK] + 0.0).ravel()  # +0.0 normalizes -0.0
+        for start in range(0, len(table), block):
+            values = (table[start:start + block] + 0.0).ravel()  # +0.0 normalizes -0.0
             cells, fast = _fixed_cells(values)
             for i, x in zip(np.flatnonzero(~fast).tolist(), values[~fast].tolist()):
                 cells[i] = cell(x).encode()
@@ -348,6 +350,12 @@ def _checked(check):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the command line, built once per process and value of $SEQMEAS_SEED."""
+    return _parser(os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED)))
+
+
+@functools.lru_cache(maxsize=1)  # parse_args keeps no state, so one parser serves every call
+def _parser(seed_default: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqmeas",
         description="Sequential weak measurement of two qubit observables: "
@@ -383,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the sampler reads only the low 64 bits, so a larger seed would alias a smaller one
     sampling.add_argument("--seed",
                           type=_int_in(0, _MASK64, source=f" (--seed or ${SEED_ENV_VAR})"),
-                          default=os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED)),
+                          default=seed_default,
                           help=f"sampling seed in [0, 2^64 - 1] "
                           f"(default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
     sampling.add_argument("--workers", type=_int_in(1), default=1,

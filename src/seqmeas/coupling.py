@@ -50,17 +50,24 @@ class Coupling:
 
     def __init__(self, gamma) -> None:
         gamma = np.asarray(_require_finite("gamma", gamma, GAMMA_MIN, 1.0, "[1/sqrt(2), 1]"))
-        gamma_bar = np.sqrt(np.maximum(0.0, 1.0 - gamma * gamma))
+        gamma_bar = np.sqrt((1.0 - gamma) * (1.0 + gamma))  # 1 - gamma**2 cancels near gamma = 1
         # clamp: rounding at the domain endpoints can land an ulp outside [0, 1]
         kappa, deco = np.clip([2.0 * gamma * gamma - 1.0, 2.0 * gamma * gamma_bar], 0.0, 1.0)
-        for name, value in zip(("gamma", "gamma_bar", "kappa", "deco"),
-                               (gamma, gamma_bar, kappa, deco)):
-            object.__setattr__(self, name, _field(value))
+        self._set(gamma, gamma_bar, kappa, deco)
 
     @staticmethod
     def from_kappa(kappa) -> "Coupling":
-        kappa = _require_finite("kappa", kappa, 0.0, 1.0, "[0, 1]")
-        return Coupling(np.sqrt(1.0 + kappa) * GAMMA_MIN)  # exact at kappa = 0 and at 1
+        """The coupling of strength ``kappa``, kept as given: 2 gamma**2 - 1 would round it off."""
+        kappa = np.asarray(_require_finite("kappa", kappa, 0.0, 1.0, "[0, 1]"))
+        coupling = object.__new__(Coupling)
+        coupling._set(np.sqrt(1.0 + kappa) * GAMMA_MIN, np.sqrt(1.0 - kappa) * GAMMA_MIN,
+                      kappa, np.sqrt((1.0 - kappa) * (1.0 + kappa)))  # gamma exact at 0 and 1
+        return coupling
+
+    def _set(self, *fields) -> None:
+        """Store gamma, gamma_bar, kappa and deco: a float each, or an array for a stack."""
+        for name, value in zip(("gamma", "gamma_bar", "kappa", "deco"), fields):
+            object.__setattr__(self, name, _field(value))
 
 
 @dataclass(frozen=True)

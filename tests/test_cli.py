@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -148,6 +149,16 @@ class TestProbs:
         ])
         assert json.loads(by_gamma)["meter"] == json.loads(by_kappa)["meter"]
 
+    @pytest.mark.parametrize("argv, key, printed", [
+        (["--kappa", "1e-8"], "kappa", 1e-08),
+        (["--kappa", "3e-16"], "kappa", 3e-16),
+        (["--gamma", "0.9999999990152839"], "deco", 8.87565697e-05),  # the correctly rounded digits
+    ])
+    def test_coupling_factors_print_without_cancellation(self, capsys, argv, key, printed):
+        # --kappa is printed as given, not as 2 gamma**2 - 1; deco does not cancel near gamma = 1
+        _, out, _ = run(capsys, ["probs", *argv])
+        assert json.loads(out)["scenario"][key] == printed
+
     def test_gamma_kappa_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["probs", "--gamma", "0.9", "--kappa", "0.5"])
@@ -294,7 +305,7 @@ BLOCK_CELLS = [SIGNALLING_NAN, -0.0, 5e-324, -2.2e-310, 3.0 - 1e-9, 0.9999999999
                1e9, 12345.0, 0.25, -7.125e-5, 1e-4, math.inf, -math.inf, math.nan]
 
 
-ROW_BLOCK = cli._ROW_BLOCK
+ROW_BLOCK = cli._BLOCK_CELLS // 3  # rows of the three-column tables below
 
 
 @pytest.mark.parametrize("count", [
@@ -303,7 +314,7 @@ ROW_BLOCK = cli._ROW_BLOCK
     pytest.param(1, id="one_row"), pytest.param(3 * ROW_BLOCK + 1, id="three_blocks_and_one"),
 ])
 def test_rows_around_one_block_render_as_the_json_encoder_and_the_csv_cells_do(count):
-    # the writer formats and writes cli._ROW_BLOCK rows at a time: tables on both sides of a
+    # the writer formats and writes cli._BLOCK_CELLS cells at a time: tables on both sides of a
     # block's end, and tables of no rows, one row and more than three blocks
     columns = ["gamma", "kappa", "epsilon"]
     rows = [[BLOCK_CELLS[(2 * i + j) % len(BLOCK_CELLS)] for j in range(len(columns))]
@@ -718,3 +729,49 @@ class TestSeedAndOutput:
         assert code == 2
         assert out == "" and "B channel" in err
         assert target.read_text() == ""
+
+
+class TestOneParserPerProcess:
+    """main() builds its parser once per process and value of $SEQMEAS_SEED."""
+
+    def test_two_calls_build_one_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._parser.cache_clear()
+        assert run(capsys, ["probs"])[0] == 0
+        first = len(built)
+        assert run(capsys, ["probs"])[0] == 0
+        assert first > 0 and len(built) == first
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_changed_seed_variable_takes_effect_on_the_next_call(self, capsys, monkeypatch):
+        seeds = []
+        for value in ("123", "9", "123"):
+            monkeypatch.setenv("SEQMEAS_SEED", value)
+            _, out, _ = run(capsys, ["estimate", *E1_ARGS, "--trials", "1000"])
+            seeds.append(json.loads(out)["seed"])
+        assert seeds == [123, 9, 123]
+
+    @pytest.mark.parametrize("bad", [["--seed", "-1"], ["--seed", "x"], ["--seed", str(2**64)]])
+    def test_a_usage_error_leaves_the_next_call_as_a_fresh_parser_runs_it(self, capsys, bad):
+        argv = ["estimate", *E1_ARGS, "--trials", "1000", "--format", "csv"]
+        cli._parser.cache_clear()
+        fresh = run(capsys, argv)
+        code, out, err = run(capsys, ["estimate", *E1_ARGS, *bad])
+        assert (code, out) == (2, "") and "--seed" in err
+        assert run(capsys, argv) == fresh
+
+    @pytest.mark.parametrize("command", ["", "probs", "estimate", "tradeoff", "verify", "znzd"])
+    def test_help_is_the_text_of_a_fresh_parser(self, capsys, command):
+        argv = [command, "--help"] if command else ["--help"]
+        cli._parser.cache_clear()
+        fresh = run(capsys, argv)
+        assert fresh[0] == 0 and fresh[1].startswith("usage: seqmeas")
+        run(capsys, ["probs"])  # the cached parser, used once
+        assert run(capsys, argv) == fresh

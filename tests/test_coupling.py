@@ -1,5 +1,6 @@
 import ast
 import math
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,11 @@ def row_setups(scenarios):
     """One setup per row of :func:`random_scenarios`, built through make_state and make_direction."""
     return [JointSetup(make_state(alpha, phi), make_direction(theta, varphi), Coupling(gamma))
             for alpha, phi, theta, varphi, gamma in scenarios.tolist()]
+
+
+def ulps_off(value, reference):
+    """How many units in the last place of ``reference`` the float ``value`` is from it."""
+    return abs(Decimal(value) - reference) / Decimal(math.ulp(float(reference)))
 
 
 def cell(law, m, b):
@@ -100,6 +106,40 @@ class TestCoupling:
         assert weakest.gamma == GAMMA_MIN
         assert weakest.kappa == 0.0
         assert Coupling.from_kappa(1.0).deco == 0.0
+
+    def test_from_kappa_matches_50_digit_references(self):
+        # kappa is kept as given; 2 gamma**2 - 1 would print 1e-8 as 9.99999972e-09, 3e-16 as 0.0
+        with localcontext() as digits50:
+            digits50.prec = 50
+            for kappa in [*np.geomspace(1e-15, 1.0, 800).tolist(), 3e-16, 1e-8]:
+                c, k = Coupling.from_kappa(kappa), Decimal(kappa)
+                assert c.kappa == kappa
+                assert ulps_off(c.deco, ((1 - k) * (1 + k)).sqrt()) <= 2
+                assert ulps_off(c.gamma, ((1 + k) / 2).sqrt()) <= 3
+                assert ulps_off(c.gamma_bar, ((1 - k) / 2).sqrt()) <= 2
+
+    def test_deco_near_gamma_one_matches_50_digit_references(self):
+        # 1 - gamma**2 cancels there: at gamma = 0.9999999990152839 deco would print 8.87565698e-05
+        with localcontext() as digits50:
+            digits50.prec = 50
+            for gamma in [*(1.0 - np.geomspace(0.1, 1e-15, 800)).tolist(), 0.9999999990152839]:
+                c, g = Coupling(gamma), Decimal(gamma)
+                assert ulps_off(c.deco, 2 * g * (1 - g * g).sqrt()) <= 2
+                assert ulps_off(c.gamma_bar, (1 - g * g).sqrt()) <= 2
+
+    @pytest.mark.parametrize("make, values", [
+        (Coupling, np.linspace(GAMMA_MIN, 1.0, 1001)),
+        (Coupling, 1.0 - np.geomspace(1e-1, 1e-16, 1000)),
+        (Coupling.from_kappa, np.geomspace(1e-16, 1.0, 1000)),
+        (Coupling.from_kappa, np.linspace(0.0, 1.0, 1001)),
+    ])
+    def test_kappa_and_deco_are_a_unit_vector_to_a_few_ulp(self, make, values):
+        stacked = make(values)
+        assert np.abs(stacked.kappa**2 + stacked.deco**2 - 1.0).max() <= 2 * np.finfo(float).eps
+        for i in range(0, len(values), 37):
+            one = make(values[i].item())
+            assert abs(one.kappa**2 + one.deco**2 - 1.0) <= 2 * np.finfo(float).eps
+            assert (one.kappa, one.deco) == (stacked.kappa[i], stacked.deco[i])
 
     @pytest.mark.parametrize("kappa, message", [
         (2.0, "kappa must lie in [0, 1], got 2.0"),
