@@ -307,10 +307,7 @@ def cmd_znzd(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     results = run_verification(
-        seed=args.seed,
-        trials=args.verify_trials,
-        repeats=args.verify_repeats,
-        workers=args.workers,
+        seed=args.seed, trials=args.verify_trials, repeats=args.verify_repeats
     )
     all_passed = all(r.passed for r in results)
     report = {
@@ -395,8 +392,8 @@ def _parser(seed_default: str) -> argparse.ArgumentParser:
                           help=f"sampling seed in [0, 2^64 - 1] "
                           f"(default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
     sampling.add_argument("--workers", type=_int_in(1), default=1,
-                          help="shard sampling across up to N threads, at most one per "
-                          "core (results identical)")
+                          help="shard estimate's trials across up to N threads, at most one "
+                          "per core (results identical); verify draws counts and ignores it")
 
     sub.add_parser("probs", parents=[angles, coupling, output],
                    help="exact outcome laws of one scenario").set_defaults(run=cmd_probs)

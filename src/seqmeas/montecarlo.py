@@ -1,8 +1,9 @@
 """Deterministic seeded sampling of the joint outcome law and statistical checks.
 
-Randomness is counter-based: trial ``i`` draws the 64-bit word ``z_i``, a
-stateless splitmix64-style hash of ``(seed, i)``, whose uniform [0, 1) variate
-is ``u_i = (z_i >> 11) 2^-53``.  A batch is a pure function of
+Two paths draw outcomes.  :func:`sample`, which ``estimate`` runs, hashes
+trials: trial ``i`` draws the 64-bit word ``z_i``, a stateless
+splitmix64-style hash of ``(seed, i)``, whose uniform [0, 1) variate is
+``u_i = (z_i >> 11) 2^-53``.  A batch is a pure function of
 ``(setup, trials, seed)``, and the counts are bit-identical however the trial
 range is sharded across workers.  Merging shards is plain count addition.
 
@@ -10,6 +11,10 @@ The sampler forms no variate: ``u_i < c`` exactly when ``z_i >> 11 < ceil(c 2^53
 and both sides, below 2^54, are compared as the float64 values their bits stand for.
 Non-negative IEEE doubles order as their bits do, subnormals included (each
 ``z_i >> 11 < 2^52`` is one), so this is exact unless subnormals are flushed to zero.
+
+The statistical checks, which ``verify`` runs, read only the four counts of
+each repeated batch, so they draw counts: all repeats of a check are one
+multinomial draw from numpy's Philox generator keyed by the seed.
 
 Estimates are affine functions of the observed cell frequencies and are never
 clamped to [-1, 1]; standard errors are propagated exactly through the
@@ -36,8 +41,8 @@ from .fisher import cramer_rao_bound, joint_informations
 from .qubit import _require_count, a_direction, expectation
 
 _MASK64 = (1 << 64) - 1
+_MAX_KEY = (1 << 128) - 1  # the largest Philox key, which seeds the checks' draws
 _GOLDEN = 0x9E3779B97F4A7C15
-_STREAM = 0xD1B54A32D192ED03
 # numpy scalars made once, not per chunk: the splitmix64 finalizer's steps, and the variate shift
 _MIXERS = tuple((np.uint64(shift), np.uint64(multiplier))
                 for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)))
@@ -105,12 +110,6 @@ def trial_uniforms(seed: int, start: int, stop: int, buffers) -> np.ndarray:
     z, t = buffers[0][:n], buffers[1][:n]
     np.add(_trial_offsets()[:n], np.uint64((start * _GOLDEN + seed) & _MASK64), out=z)
     return _mix64(z, t)
-
-
-def derive_seed(seed: int, stream: int) -> int:
-    """Independent child seed for repeat ``stream`` of a master seed."""
-    z = np.array([(seed + (stream + 1) * _STREAM) & _MASK64], dtype=np.uint64)
-    return int(_mix64(z, np.empty_like(z))[0])
 
 
 @dataclass(frozen=True)
@@ -239,24 +238,26 @@ def _z_score(mean: float, truth: float, se: float) -> float:
 
 
 def _batch_estimates(
-    setup: JointSetup, trials: int, repeats: int, seed: int, workers: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    setup: JointSetup, trials: int, repeats: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Both estimates of ``repeats`` batches of ``trials`` outcomes, ``w_B`` and the law drawn.
+
+    The batches' counts are one multinomial draw, keyed by ``seed``; ``np.random`` is
+    looked up here, so that importing this module does not load it.
+    """
+    trials = _require_count("trials", trials, 1)
     repeats = _require_count("repeats", repeats, 2)  # the spread of fewer repeats is undefined
+    seed = _require_count("seed", seed, 0, _MAX_KEY)
     w_a, w_b = estimator_weights(setup)  # also fails fast on degenerate couplings
-    est_a_vals = np.empty(repeats)
-    est_b_vals = np.empty(repeats)
-    for r in range(repeats):
-        f = sample(setup, trials, derive_seed(seed, r), workers=workers).frequencies()
-        est_a_vals[r] = w_a @ f
-        est_b_vals[r] = w_b @ f
-    return est_a_vals, est_b_vals, w_b
+    law = joint_distribution(setup)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    f = rng.multinomial(trials, law / law.sum(), size=repeats) / trials
+    return f @ w_a, f @ w_b, w_b, law
 
 
-def unbiasedness_check(
-    setup: JointSetup, trials: int, repeats: int, seed: int, workers: int = 1
-) -> dict:
+def unbiasedness_check(setup: JointSetup, trials: int, repeats: int, seed: int) -> dict:
     """Standard scores and means of repeated estimates against the exact expectations."""
-    est_a_vals, est_b_vals, _ = _batch_estimates(setup, trials, repeats, seed, workers)
+    est_a_vals, est_b_vals, _, _ = _batch_estimates(setup, trials, repeats, seed)
     true_a = expectation(setup.state, a_direction())
     true_b = expectation(setup.state, setup.b_dir)
     mean_a, mean_b = float(est_a_vals.mean()), float(est_b_vals.mean())
@@ -270,9 +271,7 @@ def unbiasedness_check(
     }
 
 
-def crb_check(
-    setup: JointSetup, trials: int, repeats: int, seed: int, workers: int = 1
-) -> tuple[dict, float]:
+def crb_check(setup: JointSetup, trials: int, repeats: int, seed: int) -> tuple[dict, float]:
     """Metrics of the empirical estimator variances, and the B estimator's variance.
 
     The A estimator saturates its bound by construction, so ``ratio_A``,
@@ -281,9 +280,8 @@ def crb_check(
     not account for, so ``ratio_B`` divides by the exact multinomial variance
     ``var_B_analytic`` instead; the caller may compare the variance to ``crb_B``.
     """
-    est_a_vals, est_b_vals, w_b = _batch_estimates(setup, trials, repeats, seed, workers)
+    est_a_vals, est_b_vals, w_b, law = _batch_estimates(setup, trials, repeats, seed)
     var_b = float(est_b_vals.var(ddof=1))
-    law = joint_distribution(setup)
     i_a, i_b = joint_informations(law, setup.coupling)
     for info, channel in ((i_a, "meter (A channel)"), (i_b, "second measurement (B channel)")):
         if np.isnan(info):

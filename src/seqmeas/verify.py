@@ -2,8 +2,10 @@
 
 Each suite returns a :class:`SuiteResult`; :func:`run_verification` bundles the
 five standard suites.  The suites are deterministic for a given seed (scenario
-sampling uses a seeded generator, Monte Carlo uses the counter-based sampler),
-so a verification run is reproducible byte for byte.
+sampling uses a seeded generator, and the two statistical suites draw the counts
+of all their repeated batches as one seeded multinomial draw; no suite hashes
+trials, which only ``estimate`` does), so a verification run is reproducible
+byte for byte.
 """
 
 from __future__ import annotations
@@ -162,10 +164,9 @@ def suite_unbiasedness(
     trials: int = 1_000_000,
     repeats: int = 30,
     seed: int = 2,
-    workers: int = 1,
 ) -> SuiteResult:
     """Mean of repeated estimates within ``Z_LIMIT`` standard errors of truth."""
-    metrics = unbiasedness_check(setup, trials, repeats, seed, workers=workers)
+    metrics = unbiasedness_check(setup, trials, repeats, seed)
     z_a, z_b = metrics["z_A"], metrics["z_B"]
     return SuiteResult(
         name="unbiasedness",
@@ -180,10 +181,9 @@ def suite_crb(
     trials: int = 100_000,
     repeats: int = 200,
     seed: int = 3,
-    workers: int = 1,
 ) -> SuiteResult:
     """Variance ratios against the saturated bound and the multinomial propagation."""
-    metrics, var_b = crb_check(setup, trials, repeats, seed, workers=workers)
+    metrics, var_b = crb_check(setup, trials, repeats, seed)
     ratio_a, ratio_b = metrics["ratio_A"], metrics["ratio_B"]
     lo, hi = VERIFY_RATIO_BAND
     meets_bound = var_b >= metrics["crb_B"] * (1.0 - CRB_TOLERANCE)
@@ -254,10 +254,7 @@ def suite_znzd(count: int = 100, seed: int = 4, grid: int = 50) -> SuiteResult:
 
 
 def run_verification(
-    seed: int = 0,
-    trials: int | None = None,
-    repeats: int | None = None,
-    workers: int = 1,
+    seed: int = 0, trials: int | None = None, repeats: int | None = None
 ) -> list[SuiteResult]:
     """All five standard suites; ``trials``/``repeats`` override both statistical suites."""
     setup = default_setup()
@@ -266,7 +263,7 @@ def run_verification(
     return [
         suite_oracle_equivalence(seed=seed),
         suite_round_trip(seed=seed + 1),
-        suite_unbiasedness(setup, seed=seed + 2, workers=workers, **sizes),
-        suite_crb(setup, seed=seed + 3, workers=workers, **sizes),
+        suite_unbiasedness(setup, seed=seed + 2, **sizes),
+        suite_crb(setup, seed=seed + 3, **sizes),
         suite_znzd(seed=seed + 4),
     ]

@@ -1,8 +1,8 @@
 """Acceptance gate: every criterion at its stated tolerance, one verdict line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
-Statistical criteria are pinned to fixed seeds; the counter-based sampler makes
-them exactly reproducible.
+Statistical criteria are pinned to fixed seeds; the seeded draws make them
+exactly reproducible.
 """
 
 import json

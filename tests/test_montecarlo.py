@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import threading
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -28,8 +29,9 @@ from seqmeas import (
 )
 from seqmeas.coupling import GAMMA_MIN
 import seqmeas.montecarlo as montecarlo
-from seqmeas.montecarlo import _thread_count, _z_score, derive_seed, trial_uniforms
-from seqmeas.verify import Z_LIMIT, default_setup
+from seqmeas.montecarlo import (_affine_variance, _batch_estimates, _thread_count, _z_score,
+                                trial_uniforms)
+from seqmeas.verify import Z_LIMIT, default_setup, random_scenarios, stacked_setup
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -133,11 +135,6 @@ class TestCounterRng:
             buffered = trial_uniforms(seed, lo, hi, buffers)
             np.testing.assert_array_equal(buffered, hashed(seed, lo, hi))
             np.testing.assert_array_equal(buffered, reference_words(seed, lo, hi))
-
-    def test_derive_seed_distinct_and_stable(self):
-        children = [derive_seed(42, r) for r in range(100)]
-        assert len(set(children)) == 100
-        assert children == [derive_seed(42, r) for r in range(100)]
 
 
 class TestSample:
@@ -538,8 +535,8 @@ class TestCrbCheck:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         crb_check(default_setup(), 1000, 5, 1)
-        # 5 laws inside sample, 1 for the bounds and the analytic variance
-        assert calls == {"estimator_weights": 1, "joint_distribution": 6}
+        # one law for the draws, the bounds and the analytic variance
+        assert calls == {"estimator_weights": 1, "joint_distribution": 1}
 
     def test_a_degenerate_b_law_raises(self):
         # |0> and n = z: b = +1 with certainty, so the B-channel information diverges
@@ -549,12 +546,42 @@ class TestCrbCheck:
 
     def test_variance_identity_for_a(self, worked_setup):
         # Var(est_A) = 1 / (n I_A_joint) exactly under the multinomial law
-        from seqmeas.montecarlo import _affine_variance
-
         w_a, _ = estimator_weights(worked_setup)
         law = joint_distribution(worked_setup)
         n = 12345
         assert _affine_variance(w_a, law, n) == pytest.approx(report_free_crb(worked_setup, n), rel=1e-12)
+
+
+def chi2_quantile(dof: int, p: float) -> float:
+    """The ``p`` quantile of the chi-squared law with ``dof`` degrees of freedom, by the
+    Wilson-Hilferty cube-root normal approximation; at 1000 and 19 000 dofs, the tail beyond
+    it is within 1 % of the target from 5e-7 to 1 - 5e-7."""
+    z = NormalDist().inv_cdf(p)
+    return dof * (1.0 - 2.0 / (9.0 * dof) + z * math.sqrt(2.0 / (9.0 * dof))) ** 3
+
+
+def test_sampled_estimates_over_random_scenarios_match_their_laws():
+    # The drawn batches against the exact laws of 1000 random scenarios, n_z != 0 included, so
+    # the population term of w_B is sampled too.  Per estimator, the scaled squared biases of
+    # the scenarios' means pool to chi^2 with `count` dofs, and their scaled sample variances
+    # to chi^2 with count (repeats - 1) dofs.  Each comparison below fails a correct draw with
+    # probability 1e-6 (the two-sided ones split it between their tails).
+    false_failure, count, trials, repeats = 1e-6, 1000, 100_000, 20
+    bias = np.zeros(2)
+    spread = np.zeros(2)
+    for k, row in enumerate(random_scenarios(count, seed=6)):
+        setup = stacked_setup(row)
+        est_a, est_b, w_b, law = _batch_estimates(setup, trials, repeats, seed=k)
+        w_a, _ = estimator_weights(setup)
+        truths = (expectation(setup.state, a_direction()), expectation(setup.state, setup.b_dir))
+        for j, (est, w, truth) in enumerate(zip((est_a, est_b), (w_a, w_b), truths)):
+            var = _affine_variance(w, law, trials)
+            bias[j] += (est.mean() - truth) ** 2 / (var / repeats)
+            spread[j] += (repeats - 1) * est.var(ddof=1) / var
+    assert np.all(bias < chi2_quantile(count, 1.0 - false_failure)), bias
+    dof = count * (repeats - 1)
+    low, high = (chi2_quantile(dof, p) for p in (false_failure / 2, 1.0 - false_failure / 2))
+    assert np.all((low < spread) & (spread < high)), (spread, low, high)
 
 
 @pytest.mark.parametrize("check", [unbiasedness_check, crb_check])
@@ -569,7 +596,9 @@ COUNT_CALLS = {
     "sample trials": ("trials", lambda setup, n: sample(setup, n, 1)),
     "sample workers": ("workers", lambda setup, n: sample(setup, 1000, 1, workers=n)),
     "unbiasedness_check repeats": ("repeats", lambda setup, n: unbiasedness_check(setup, 1000, n, 3)),
+    "unbiasedness_check trials": ("trials", lambda setup, n: unbiasedness_check(setup, n, 5, 3)),
     "crb_check repeats": ("repeats", lambda setup, n: crb_check(setup, 1000, n, 3)),
+    "crb_check trials": ("trials", lambda setup, n: crb_check(setup, n, 5, 3)),
     "tradeoff_curve grid": ("grid", lambda setup, n: tradeoff_curve(setup.state, setup.b_dir, n)),
     "cramer_rao_bound trials": ("trials", lambda setup, n: cramer_rao_bound(1.0, n)),
 }
@@ -590,13 +619,29 @@ def test_a_numpy_integer_count_samples_as_the_int_does():
     assert [type(n) for n in (*batch.counts, batch.trials)] == [int] * 5
 
 
-@pytest.mark.parametrize("bad", [-1, 2**64, 2**64 + 5, 2.5, True, np.float64(3)],
-                         ids=["-1", "2^64", "2^64+5", "2.5", "True", "float64"])
-def test_a_seed_outside_64_bits_or_not_an_integer_is_refused(bad):
-    # 2^64 + 5 used to alias seed 5, and 2.5 to raise a bare TypeError in the hash
-    with pytest.raises(InvalidParameter,
-                       match=rf"^seed must be an integer in \[0, {2**64 - 1}\], got "):
-        sample(default_setup(), 1000, bad)
+# Each seeded call by its prefix in the test ids, the largest seed it takes and that seed
+# plus one as the ids write it: sample hashes 64-bit words, and the checks key a 128-bit
+# Philox generator.
+SEED_CALLS = {
+    "": (lambda seed: sample(default_setup(), 1000, seed), 2**64 - 1, "2^64"),
+    "unbiasedness_check ": (lambda seed: unbiasedness_check(default_setup(), 1000, 5, seed),
+                            2**128 - 1, "2^128"),
+    "crb_check ": (lambda seed: crb_check(default_setup(), 1000, 5, seed), 2**128 - 1, "2^128"),
+}
+SEED_CASES = [
+    pytest.param(call, high, bad, id=f"{prefix}{label}")
+    for prefix, (call, high, above) in SEED_CALLS.items()
+    for bad, label in ((-1, "-1"), (high + 1, above), (high + 6, f"{above}+5"), (2.5, "2.5"),
+                       (True, "True"), (np.float64(3), "float64"))
+]
+
+
+@pytest.mark.parametrize("call, high, bad", SEED_CASES)
+def test_a_seed_outside_64_bits_or_not_an_integer_is_refused(call, high, bad):
+    # 2^64 + 5 used to alias seed 5 in sample, the checks masked seeds -1 and 2^70 to 64 bits,
+    # and 2.5 raised a bare TypeError in the hash
+    with pytest.raises(InvalidParameter, match=rf"^seed must be an integer in \[0, {high}\], got "):
+        call(bad)
 
 
 @pytest.mark.parametrize("seed", [np.uint64(5), 2**64 - 1, np.uint64(2**64 - 1)],
