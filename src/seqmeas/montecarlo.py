@@ -5,7 +5,8 @@ trials: trial ``i`` draws the 64-bit word ``z_i``, a stateless
 splitmix64-style hash of ``(seed, i)``, whose uniform [0, 1) variate is
 ``u_i = (z_i >> 11) 2^-53``.  A batch is a pure function of
 ``(setup, trials, seed)``, and the counts are bit-identical however the trial
-range is sharded across workers.  Merging shards is plain count addition.
+range is sharded across workers.  Merging shards is plain count addition.  Each shard
+hashes in buffers it allocates, so only the read-only table of counter offsets is kept.
 
 The sampler forms no variate: ``u_i < c`` exactly when ``z_i >> 11 < ceil(c 2^53)``,
 and both sides, below 2^54, are compared as the float64 values their bits stand for.
@@ -36,7 +37,7 @@ import numpy as np
 
 from .correction import estimator_weights
 from .coupling import JointSetup, joint_distribution
-from .errors import DegenerateDistribution
+from .errors import DegenerateDistribution, InvalidParameter
 from .fisher import cramer_rao_bound, joint_informations
 from .qubit import _require_count, a_direction, expectation
 
@@ -81,14 +82,6 @@ def _trial_offsets() -> np.ndarray:
     return offsets
 
 
-# Triples of _CHUNK-element buffers (hash words, scratch, bool mask) that no shard is using,
-# reused so that sample calls fault no new pages in; list.pop and list.append are atomic, so
-# no two shards share a triple.  Each buffer starts on a cache line (see _aligned), and so
-# does every partial chunk's [:n] slice of it.  The list keeps one 1.06 MiB triple for each
-# shard that ever ran at the same time as others.
-_FREE_BUFFERS: list = []
-
-
 def _mix64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, in place over uint64 ``z`` (returned); ``t`` is scratch."""
     for shift, multiplier in _MIXERS:
@@ -103,7 +96,7 @@ def trial_uniforms(seed: int, start: int, stop: int, buffers) -> np.ndarray:
 
     Word ``z`` stands for the uniform [0, 1) variate ``(z >> 11) 2^-53``.  The first two
     of ``buffers`` are ``_CHUNK``-element uint64 arrays, words and scratch (a shard passes
-    its free-list triple, whose third is its mask), so at most ``_CHUNK`` trials are
+    the triple it allocated, whose third is its mask), so at most ``_CHUNK`` trials are
     hashed, and the result is a view of the first, valid until it is passed again.
     """
     n = stop - start
@@ -141,24 +134,19 @@ def _thresholds(cum: np.ndarray) -> np.ndarray:
 
 
 def _counts_below(thresholds: np.ndarray, seed: int, start: int, stop: int) -> list[int]:
-    """Trials ``start .. stop-1`` whose variates are below each threshold."""
+    """Trials ``start .. stop-1`` whose variates are below each threshold, hashed in a
+    triple of ``_CHUNK``-element buffers (words, scratch, mask) that this call allocates."""
     k0, k1, k2 = thresholds.tolist()
     n0 = n1 = n2 = 0
-    try:
-        buffers = _FREE_BUFFERS.pop()
-    except IndexError:
-        buffers = tuple(_aligned(_CHUNK, dtype) for dtype in (np.uint64, np.uint64, np.bool_))
-    try:
-        for lo in range(start, stop, _CHUNK):
-            hi = min(lo + _CHUNK, stop)
-            z = trial_uniforms(seed, lo, hi, buffers)
-            variates = np.right_shift(z, _SHIFT_11, out=z).view(np.float64)
-            mask = buffers[2][:hi - lo]
-            n0 += np.count_nonzero(np.less(variates, k0, out=mask))
-            n1 += np.count_nonzero(np.less(variates, k1, out=mask))
-            n2 += np.count_nonzero(np.less(variates, k2, out=mask))
-    finally:
-        _FREE_BUFFERS.append(buffers)
+    buffers = tuple(_aligned(_CHUNK, dtype) for dtype in (np.uint64, np.uint64, np.bool_))
+    for lo in range(start, stop, _CHUNK):
+        hi = min(lo + _CHUNK, stop)
+        z = trial_uniforms(seed, lo, hi, buffers)
+        variates = np.right_shift(z, _SHIFT_11, out=z).view(np.float64)
+        mask = buffers[2][:hi - lo]
+        n0 += np.count_nonzero(np.less(variates, k0, out=mask))
+        n1 += np.count_nonzero(np.less(variates, k1, out=mask))
+        n2 += np.count_nonzero(np.less(variates, k2, out=mask))
     return [int(n0), int(n1), int(n2)]
 
 
@@ -167,6 +155,14 @@ def _thread_count(workers: int, trials: int) -> int:
     on, and every thread gets at least one whole chunk of trials."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(workers, cpus, max(1, trials // _CHUNK))
+
+
+def _scenario_law(setup: JointSetup) -> np.ndarray:
+    """The joint law of a setup holding one scenario; a stack is refused, not flattened."""
+    law = joint_distribution(setup)
+    if law.shape != (4,):
+        raise InvalidParameter(f"setup must hold one scenario, its law has shape {law.shape}")
+    return law
 
 
 def sample(setup: JointSetup, trials: int, seed: int, workers: int = 1) -> TrialBatch:
@@ -178,7 +174,7 @@ def sample(setup: JointSetup, trials: int, seed: int, workers: int = 1) -> Trial
     trials = _require_count("trials", trials, 1)
     workers = _require_count("workers", workers, 1)
     seed = _require_count("seed", seed, 0, _MASK64)  # a larger seed would alias a smaller one
-    thresholds = _thresholds(np.cumsum(joint_distribution(setup)))
+    thresholds = _thresholds(np.cumsum(_scenario_law(setup)))
 
     threads = _thread_count(workers, trials)
     bounds = np.linspace(0, trials, threads + 1, dtype=int).tolist()
@@ -248,8 +244,8 @@ def _batch_estimates(
     trials = _require_count("trials", trials, 1)
     repeats = _require_count("repeats", repeats, 2)  # the spread of fewer repeats is undefined
     seed = _require_count("seed", seed, 0, _MAX_KEY)
+    law = _scenario_law(setup)
     w_a, w_b = estimator_weights(setup)  # also fails fast on degenerate couplings
-    law = joint_distribution(setup)
     rng = np.random.Generator(np.random.Philox(key=seed))
     f = rng.multinomial(trials, law / law.sum(), size=repeats) / trials
     return f @ w_a, f @ w_b, w_b, law

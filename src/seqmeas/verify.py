@@ -40,11 +40,13 @@ RANDOM_GAMMA_RANGE = (0.7072, 0.9999)
 # alpha=pi/6, phi=0, theta=pi/2, varphi=0, gamma^2=0.8.
 DEFAULT_SCENARIO = (math.pi / 6, 0.0, math.pi / 2, 0.0, math.sqrt(0.8))
 
-# Verdict-stability band for the variance-ratio suite (about 3 sigma at 200
-# repeats); tighter bands are meaningful only at a pinned seed.
+# Band of the variance-ratio suite.  Over 200 repeats of normal estimates a ratio is
+# chi^2_199 / 199, outside the band with probability 3.3e-3, so a correct run fails at most
+# 6.5e-3 of the time over the two ratios (union bound).  Tighter bands need a pinned seed.
 VERIFY_RATIO_BAND = (0.7, 1.3)
 
-# |z| below which a mean estimate passes the unbiasedness suite.
+# |z| below which a mean estimate passes the unbiasedness suite.  Over 30 repeats of normal
+# estimates z is t_29, and |t_29| >= 5 has probability 2.5e-5: at most 5.1e-5 per run.
 Z_LIMIT = 5.0
 
 # Relative slack with which the B estimator's variance may undercut its bound.

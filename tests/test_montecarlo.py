@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import threading
+import weakref
 from statistics import NormalDist
 
 import numpy as np
@@ -286,7 +287,8 @@ class TestThreadFanOut:
 
 
 class TestChunkBuffers:
-    # every shard hashes in a triple of chunk buffers that it takes from a free list
+    # every shard hashes in a triple of chunk buffers that it allocates for its call, so no
+    # two shards and no two calls share one
 
     def test_interleaved_calls_leak_nothing_between_calls(self, worked_setup):
         calls = [(worked_setup, 100_001, 5, 1), (ZERO_CELL_SETUP, 1, 7, 1),
@@ -321,31 +323,6 @@ class TestChunkBuffers:
         assert not any(thread.is_alive() for thread in threads)
         assert seen == {seed: {counts} for seed, counts in expected.items()}
 
-    @pytest.mark.skipif(CPUS < 2, reason="two shards need two CPUs")
-    def test_threaded_calls_reuse_the_free_pairs(self, worked_setup, monkeypatch):
-        # both shards of the first call hold their pair at once, so it leaves at least
-        # two pairs free, and the second call makes no new one
-        real = montecarlo.trial_uniforms
-        both_hold_a_pair = threading.Barrier(2, timeout=10)
-        held = {}
-
-        def spy(seed, start, stop, buffers):
-            if threading.get_ident() not in held:
-                held[threading.get_ident()] = buffers
-                both_hold_a_pair.wait()
-            return real(seed, start, stop, buffers)
-
-        monkeypatch.setattr(montecarlo, "trial_uniforms", spy)
-        expected = reference_counts(cumulative_law(worked_setup), 21, 0, 300_000)
-        assert sample(worked_setup, 300_000, seed=21, workers=2).counts == tuple(expected)
-        first, second = held.values()
-        assert first is not second
-        free = {id(pair) for pair in montecarlo._FREE_BUFFERS}
-        assert {id(first), id(second)} <= free
-        monkeypatch.setattr(montecarlo, "trial_uniforms", real)
-        assert sample(worked_setup, 300_000, seed=21, workers=2).counts == tuple(expected)
-        assert {id(pair) for pair in montecarlo._FREE_BUFFERS} == free
-
 
 class TestAlignedBuffers:
     # the kernel's passes run over arrays that start on a 64-byte cache line
@@ -359,16 +336,35 @@ class TestAlignedBuffers:
             assert array.flags.c_contiguous and array.flags.writeable
             assert array.ctypes.data % 64 == 0
 
-    def test_offsets_and_free_buffers_start_on_a_cache_line(self, worked_setup):
-        sample(worked_setup, 3 * montecarlo._CHUNK + 11, 5)
-        sample(worked_setup, 3 * montecarlo._CHUNK + 11, 5, workers=2)
+    @pytest.mark.skipif(CPUS < 2, reason="two shards need two CPUs")
+    def test_offsets_and_shard_buffers_start_on_a_cache_line(self, worked_setup, monkeypatch):
+        # both shards hold their triple at once, so distinct triples have distinct addresses;
+        # the spy keeps only weak references, which die when the call drops its buffers
+        real = montecarlo.trial_uniforms
+        both_hold_a_triple = threading.Barrier(2, timeout=10)
+        held = {}
+
+        def spy(seed, start, stop, buffers):
+            if threading.get_ident() not in held:
+                held[threading.get_ident()] = [
+                    (b.dtype, b.shape, b.ctypes.data, weakref.ref(b)) for b in buffers]
+                both_hold_a_triple.wait()
+            return real(seed, start, stop, buffers)
+
+        monkeypatch.setattr(montecarlo, "trial_uniforms", spy)
+        trials = 3 * montecarlo._CHUNK + 11  # each shard ends on a partial chunk
+        expected = reference_counts(cumulative_law(worked_setup), 5, 0, trials)
+        assert sample(worked_setup, trials, 5, workers=2).counts == tuple(expected)
+        assert len(held) == 2
+        for triple in held.values():
+            assert [dtype for dtype, _, _, _ in triple] == [np.uint64, np.uint64, np.bool_]
+            assert all(shape == (montecarlo._CHUNK,) for _, shape, _, _ in triple)
+            assert all(address % 64 == 0 for _, _, address, _ in triple)
+            assert all(ref() is None for _, _, _, ref in triple)  # no buffer outlives its call
+        addresses = [address for triple in held.values() for _, _, address, _ in triple]
+        assert len(set(addresses)) == 6
         offsets = montecarlo._trial_offsets()
         assert offsets.ctypes.data % 64 == 0 and not offsets.flags.writeable
-        assert montecarlo._FREE_BUFFERS
-        for buffers in montecarlo._FREE_BUFFERS:
-            assert [b.dtype for b in buffers] == [np.uint64, np.uint64, np.bool_]
-            assert all(b.shape == (montecarlo._CHUNK,) for b in buffers)
-            assert all(b.ctypes.data % 64 == 0 for b in buffers)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("trials", [1, 2**16 - 1, 2**16 + 1, 3 * 2**16 + 11])
@@ -623,10 +619,10 @@ def test_a_numpy_integer_count_samples_as_the_int_does():
 # plus one as the ids write it: sample hashes 64-bit words, and the checks key a 128-bit
 # Philox generator.
 SEED_CALLS = {
-    "": (lambda seed: sample(default_setup(), 1000, seed), 2**64 - 1, "2^64"),
-    "unbiasedness_check ": (lambda seed: unbiasedness_check(default_setup(), 1000, 5, seed),
+    "": (lambda setup, seed: sample(setup, 1000, seed), 2**64 - 1, "2^64"),
+    "unbiasedness_check ": (lambda setup, seed: unbiasedness_check(setup, 1000, 5, seed),
                             2**128 - 1, "2^128"),
-    "crb_check ": (lambda seed: crb_check(default_setup(), 1000, 5, seed), 2**128 - 1, "2^128"),
+    "crb_check ": (lambda setup, seed: crb_check(setup, 1000, 5, seed), 2**128 - 1, "2^128"),
 }
 SEED_CASES = [
     pytest.param(call, high, bad, id=f"{prefix}{label}")
@@ -641,7 +637,19 @@ def test_a_seed_outside_64_bits_or_not_an_integer_is_refused(call, high, bad):
     # 2^64 + 5 used to alias seed 5 in sample, the checks masked seeds -1 and 2^70 to 64 bits,
     # and 2.5 raised a bare TypeError in the hash
     with pytest.raises(InvalidParameter, match=rf"^seed must be an integer in \[0, {high}\], got "):
-        call(bad)
+        call(default_setup(), bad)
+
+
+@pytest.mark.parametrize("rows", [3, 1])
+@pytest.mark.parametrize("call", [call for call, _, _ in SEED_CALLS.values()],
+                         ids=[prefix.strip() or "sample" for prefix in SEED_CALLS])
+def test_a_stack_of_scenarios_is_refused(call, rows):
+    # sample used to take the thresholds from the flattened (4, rows) law, and the checks
+    # failed with a bare numpy shape mismatch, a one-row stack too
+    setup = stacked_setup(random_scenarios(rows, seed=0))
+    with pytest.raises(InvalidParameter, match=rf"^setup must hold one scenario, its law has "
+                                               rf"shape \(4, {rows}\)$"):
+        call(setup, 1)
 
 
 @pytest.mark.parametrize("seed", [np.uint64(5), 2**64 - 1, np.uint64(2**64 - 1)],

@@ -21,7 +21,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from seqmeas import oracle  # noqa: E402
 from seqmeas.cli import (MAX_GRID, MAX_SCAN_POINTS, MAX_TRIALS, MAX_VERIFY_REPEATS,  # noqa: E402
-                         MAX_VERIFY_TRIALS, _csv_cell, _fmt9, _jsonify, build_parser, main)
+                         MAX_VERIFY_TRIALS, _csv_cell, _flatten, _fmt9, _jsonify, _round9,
+                         build_parser, main)
 from seqmeas.correction import ZnzdClass, estimator_weights, is_znzd, znzd_masks  # noqa: E402
 from seqmeas.coupling import (  # noqa: E402
     GAMMA_MIN,
@@ -322,7 +323,8 @@ def captured(call):
 
 
 @st.composite
-def command_lines(draw):
+def command_lines(draw, numbers=reals):
+    """A command line whose reals are drawn from ``numbers``, or near the coupling range."""
     def given_as(option, value):  # "--x=-1e+308" passes the value; "--x -1e+308" a second flag
         return [f"{option}={value}"] if draw(st.booleans()) else [option, str(value)]
 
@@ -330,22 +332,25 @@ def command_lines(draw):
     argv = [command, "--format", draw(st.sampled_from(["json", "csv"]))]
     for option in ("--alpha", "--phi", "--theta", "--varphi", "--degrees"):
         if draw(st.booleans()):
-            argv += [option] if option == "--degrees" else given_as(option, draw(reals))
+            argv += [option] if option == "--degrees" else given_as(option, draw(numbers))
     if command in ("probs", "estimate"):
         coupling = draw(st.sampled_from([None, ("--gamma", GAMMA_EDGES, GAMMA_MIN, 1.0),
                                          ("--kappa", KAPPA_EDGES, 0.0, 1.0)]))
         if coupling:
             option, edges, low, high = coupling
-            argv += given_as(option, draw(st.sampled_from(edges) | st.floats(low, high) | reals))
+            argv += given_as(option, draw(st.sampled_from(edges) | st.floats(low, high) | numbers))
     if command == "estimate":
-        argv += ["--trials", str(draw(st.integers(1, 10**4))),
-                 "--seed", str(draw(st.integers(0, 2**64 - 1)))]
+        # up to three whole chunks more, so that --workers > 1 starts shard threads
+        trials = draw(st.sampled_from([0, 1, 2, 3])) * _CHUNK + draw(st.integers(1, 10**4))
+        argv += ["--trials", str(trials), "--seed", str(draw(st.integers(0, 2**64 - 1)))]
     if command == "tradeoff":
         argv += ["--grid", str(draw(st.integers(2, 1000)))]
     if command == "znzd" and draw(st.booleans()):
         argv += ["--scan", "--scan-points", str(draw(st.integers(4, 60)))]
     if command == "znzd" and draw(st.booleans()):
-        argv += given_as("--tol", draw(st.sampled_from([1e-9, 0.7, 0.0, -1e-9]) | reals))
+        argv += given_as("--tol", draw(st.sampled_from([1e-9, 0.7, 0.0, -1e-9]) | numbers))
+    if command == "estimate":  # last, so that argv[:-2] is the same run without it
+        argv += ["--workers", str(draw(st.sampled_from([1, 2, 3, 4])))]
     return argv
 
 
@@ -353,8 +358,57 @@ def refuse(constant):
     raise ValueError(f"{constant} is not strict JSON")
 
 
-@PROPERTY
-@given(argv=command_lines())
+def given_value(argv, option):
+    """The text ``option`` was given in ``argv``, as ``option=text`` or ``option text``."""
+    for k, arg in enumerate(argv):
+        if arg == option:
+            return argv[k + 1]
+        if arg.startswith(option + "="):
+            return arg[len(option) + 1:]
+    return None
+
+
+def printed(out, fmt):
+    """A report's values by flattened key: JSON's own, or each CSV value as JSON reads it;
+    a CSV value that is not JSON (nan, inf) is kept as text."""
+    if fmt == "json":
+        return dict(_flatten(json.loads(out, parse_constant=refuse)))
+    values = {}
+    for key, text in list(csv.reader(io.StringIO(out)))[1:]:
+        try:
+            values[key] = json.loads(text)
+        except ValueError:
+            values[key] = text
+    return values
+
+
+# Each coupling option, the range its value is clipped into, and the key it prints as.
+COUPLING_OPTIONS = {"--gamma": (GAMMA_MIN, 1.0, "scenario.gamma"),
+                    "--kappa": (0.0, 1.0, "scenario.kappa")}
+
+
+def assert_prints_the_values_given(argv, out):
+    """The coupling given prints as its nine digits, and the counts sum to the trials and do
+    not depend on the shard threads."""
+    fmt = argv[2]
+    values = printed(out, fmt)
+    for option, (low, high, key) in COUPLING_OPTIONS.items():
+        text = given_value(argv, option)
+        if text is not None:
+            assert values[key] == _round9(min(max(float(text), low), high))
+    if argv[0] == "estimate":
+        keys = [f"counts.{cell}" for cell in ("pp", "pm", "mp", "mm")]
+        counts = [values[key] for key in keys]
+        assert all(type(c) is int and c >= 0 for c in counts)
+        assert sum(counts) == int(given_value(argv, "--trials"))
+        code, serial, _ = captured(lambda: main(argv[:-2]))
+        assert code == 0
+        assert [printed(serial, fmt)[key] for key in keys] == counts
+
+
+# any real, or moderate finite ones, which most runs accept, so that their values are checked
+@settings(PROPERTY, max_examples=200)
+@given(argv=command_lines() | command_lines(st.floats(-1e3, 1e3)))
 def test_every_command_line_gives_a_valid_output_or_exit_code_2(argv):
     code, out, err = captured(lambda: main(argv))
     assert code in (0, 2)
@@ -364,6 +418,8 @@ def test_every_command_line_gives_a_valid_output_or_exit_code_2(argv):
             assert rows and len({len(row) for row in rows}) == 1
         else:
             json.loads(out, parse_constant=refuse)
+        if argv[0] in ("probs", "estimate"):
+            assert_prints_the_values_given(argv, out)
     else:
         assert err.strip() and "Traceback" not in err
 
