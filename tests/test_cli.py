@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from seqmeas import verify
+from seqmeas import oracle, verify
 from seqmeas import cli
 from seqmeas.cli import (MAX_GRID, MAX_SCAN_POINTS, MAX_TRIALS, MAX_VERIFY_REPEATS,
                          MAX_VERIFY_TRIALS, _csv_cell, _jsonify, _render_report, _write_rows,
@@ -525,6 +525,17 @@ class TestVerify:
             return cells
 
         monkeypatch.setattr(verify, "joint_distribution", shifted)
+        self.assert_oracle_suite_fails(capsys)
+
+    def test_swapped_oracle_eigenvectors_fail(self, capsys, monkeypatch):
+        # negative control on the oracle side: an eigensolver that swaps its -1 and +1
+        # columns, a likely slip in a hand-written one, must fail the oracle suite
+        solve = oracle._eigenvectors
+        monkeypatch.setattr(oracle, "_eigenvectors", lambda *angles: solve(*angles)[..., ::-1])
+        self.assert_oracle_suite_fails(capsys)
+
+    @staticmethod
+    def assert_oracle_suite_fails(capsys):
         code, out, _ = run(capsys, ["verify", *FAST_VERIFY])
         assert code == 1
         report = json.loads(out)

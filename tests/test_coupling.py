@@ -23,7 +23,7 @@ from seqmeas import (
 from seqmeas import estimator_weights, expectation, oracle
 from seqmeas.coupling import GAMMA_MIN, JOINT_CELLS, b_law, meter_law
 from seqmeas.qubit import a_direction
-from seqmeas.verify import random_scenarios, stacked_setup
+from seqmeas.verify import ORACLE_TOL, random_scenarios, stacked_setup
 
 
 def row_setups(scenarios):
@@ -35,6 +35,15 @@ def row_setups(scenarios):
 def ulps_off(value, reference):
     """How many units in the last place of ``reference`` the float ``value`` is from it."""
     return abs(Decimal(value) - reference) / Decimal(math.ulp(float(reference)))
+
+
+def solver_directions():
+    """(theta, varphi) rows: 2000 random ones, plus both poles, the equator and a
+    direction 1e-12 from each pole at four azimuths, so both pivot branches of
+    the oracle's 2x2 solve and its b = 0 poles are reached."""
+    edges = [(theta, varphi) for theta in (0.0, math.pi / 2, math.pi, 1e-12, math.pi - 1e-12)
+             for varphi in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)]
+    return np.concatenate([random_scenarios(2000, seed=89)[:, 2:4], edges])
 
 
 def cell(law, m, b):
@@ -368,12 +377,43 @@ class TestOracleEquivalence:
                 for b in (+1, -1):
                     assert cell(law, m, b) == pytest.approx(ref.joint[(m, b)], abs=1e-10)
 
+    def test_the_2x2_solve_matches_eigh(self):
+        theta, varphi = solver_directions().T
+        assert (np.cos(theta) < 0).any() and (np.cos(theta) >= 0).any()  # both pivot branches
+        n = np.stack([np.sin(theta) * np.cos(varphi), np.sin(theta) * np.sin(varphi), np.cos(theta)],
+                     axis=-1)
+        h = np.einsum("nk,kij->nij", n, oracle._PAULI)
+        vectors = oracle._eigenvectors(theta, varphi)
+        residual = h @ vectors - vectors * [-1.0, 1.0]  # H v - lambda v, column by column
+        assert np.linalg.norm(residual, axis=1).max() <= 1e-14
+        gram = vectors.conj().transpose(0, 2, 1) @ vectors
+        assert np.abs(gram - np.eye(2)).max() <= 1e-14
+        _, reference = np.linalg.eigh(h)  # ascending eigenvalues, as the oracle's columns
+        overlaps = np.abs(np.einsum("nsb,nsb->nb", vectors.conj(), reference))
+        assert np.abs(overlaps - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [GAMMA_MIN, 1.0, None])  # None: the drawn couplings
+    def test_the_stacked_oracle_matches_the_closed_forms_at_the_solver_directions(self, gamma):
+        directions = solver_directions()
+        scenarios = random_scenarios(len(directions), seed=97)
+        scenarios[:, 2:4] = directions
+        if gamma is not None:
+            scenarios[:, 4] = gamma
+        state, meter_probs, density, b_probs, joint = oracle.simulate_stack(*scenarios.T)
+        setup = stacked_setup(scenarios)
+        law = joint_distribution(setup)
+        for closed, brute in [(entangled_state(setup).T, state),
+                              (np.transpose(meter_law(law)), meter_probs),
+                              (np.transpose(b_law(law)), b_probs),
+                              (post_measurement_density(setup), density), (law.T, joint)]:
+            assert np.abs(closed - brute).max() <= ORACLE_TOL
+
     def test_born_probability_is_the_projector_expectation(self):
         scenarios = random_scenarios(300, seed=83)
         eigvecs = oracle._eigenvectors(scenarios[:, 2], scenarios[:, 3])
         for setup, vectors in zip(row_setups(scenarios), eigvecs):
             psi = setup.state.vector()
-            for sign, column in ((+1, 1), (-1, 0)):  # eigh's columns: ascending eigenvalues
+            for sign, column in ((+1, 1), (-1, 0)):  # columns in ascending eigenvalue order
                 projector = np.outer(vectors[:, column], vectors[:, column].conj())
                 assert oracle.born_probability(psi, setup.b_dir, sign) == pytest.approx(
                     np.vdot(psi, projector @ psi).real, abs=1e-12)
