@@ -8,14 +8,15 @@ Subcommands::
     seqmeas verify    self-verification suites, nonzero exit on failure
     seqmeas znzd      zero-noise-zero-disturbance classification / locus scan
 
-Each subcommand accepts only the options it reads; argparse validates and
-defaults each of them.  Angles are radians (``--degrees`` scales the angles
-given, omitted ones keep their radian defaults); ``probs`` and ``estimate``
-take the coupling either as ``--gamma`` or as the strength ``--kappa``.  All
-numeric output carries 9 significant digits, identically in JSON and CSV (a
-non-finite number is ``null`` in JSON), and a fixed ``(config, seed)``
-reproduces output byte for byte; when ``--seed`` is absent the SEQMEAS_SEED
-environment variable supplies the default.
+Each subcommand accepts only the options it reads and defaults each.  The
+library's rules check each value as it is parsed: integers, in decimal digits,
+pass its count rule ``qubit._require_count``.  Angles are radians
+(``--degrees`` scales the angles given, omitted ones keep their radian
+defaults); ``probs`` and ``estimate`` take the coupling either as ``--gamma``
+or as the strength ``--kappa``.  All numeric output carries 9 significant
+digits, identically in JSON and CSV (a non-finite number is ``null`` in JSON),
+and a fixed ``(config, seed)`` reproduces output byte for byte; when ``--seed``
+is absent the SEQMEAS_SEED environment variable supplies the default.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or output error.
 """
@@ -37,6 +38,8 @@ import numpy as np
 
 from .correction import ZNZD_TOL, check_tol, estimator_weights, is_znzd, znzd_masks
 from .coupling import (
+    CELL_NAMES,
+    OUTCOME_NAMES,
     Coupling,
     JointSetup,
     b_law,
@@ -48,8 +51,8 @@ from .coupling import (
 from .errors import SeqmeasError
 from .fisher import tradeoff_curve
 from .montecarlo import _MASK64, _z_score, estimate, sample
-from .qubit import (ObservableDirection, PureState, _require_finite, a_direction, angular_factors,
-                    expectation, make_direction, make_state)
+from .qubit import (ObservableDirection, PureState, _require_count, _require_finite, a_direction,
+                    angular_factors, expectation, make_direction, make_state)
 from .verify import DEFAULT_SCENARIO, run_verification
 
 SEED_ENV_VAR = "SEQMEAS_SEED"
@@ -81,9 +84,13 @@ def _fmt9(x: float) -> str:
     return f"{x + 0.0:.9g}"  # +0.0 normalizes -0.0
 
 
+def _python(value):
+    """A numpy bool, integer or float as the Python one, which prints as it does; else ``value``."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _jsonify(value):
-    if isinstance(value, np.generic):  # a numpy bool, integer or float prints as the Python one
-        value = value.item()
+    value = _python(value)
     if isinstance(value, float):
         return _round9(value) if math.isfinite(value) else None
     if isinstance(value, dict):
@@ -105,8 +112,7 @@ def _flatten(value, prefix=""):
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, np.generic):
-        value = value.item()
+    value = _python(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -226,9 +232,9 @@ def cmd_probs(args: argparse.Namespace, out: TextIO) -> int:
     rho = post_measurement_density(setup)
     report = {
         "scenario": scenario,
-        "meter": dict(zip(("p_plus", "p_minus"), meter_law(law))),
-        "b_measurement": dict(zip(("p_plus", "p_minus"), b_law(law))),
-        "joint": dict(zip(("pp", "pm", "mp", "mm"), law.tolist())),
+        "meter": dict(zip(OUTCOME_NAMES, meter_law(law))),
+        "b_measurement": dict(zip(OUTCOME_NAMES, b_law(law))),
+        "joint": dict(zip(CELL_NAMES, law.tolist())),
         "decomposition": dict(zip(("independent_part", "coherent_coefficient"),
                                   decompose(setup))),
         "density": {
@@ -257,8 +263,7 @@ def cmd_estimate(args: argparse.Namespace, out: TextIO) -> int:
         "scenario": scenario,
         "trials": args.trials,
         "seed": args.seed,
-        "counts": {"pp": batch.counts[0], "pm": batch.counts[1],
-                   "mp": batch.counts[2], "mm": batch.counts[3]},
+        "counts": dict(zip(CELL_NAMES, batch.counts)),
         "est_A": stats.est_A,
         "se_A": stats.se_A,
         "true_A": true_a,
@@ -284,10 +289,8 @@ def cmd_znzd(args: argparse.Namespace, out: TextIO) -> int:
     if not args.scan:
         sin_two_alpha, sin_theta, cos_delta = angular_factors(state, direction)
         report = {
-            "alpha": state.alpha,
-            "phi": state.phi,
-            "theta": direction.theta,
-            "varphi": direction.varphi,
+            **asdict(state),  # alpha, phi
+            **asdict(direction),  # theta, varphi
             "classification": is_znzd(state, direction, tol=args.tol).value,
             "cos_delta": cos_delta,
             "sin_two_alpha": sin_two_alpha,
@@ -319,31 +322,23 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     return 0 if all_passed else 1
 
 
-def _int_in(low: int, high: float = math.inf, source: str = ""):
-    """An argparse type: an integer in ``[low, high]``; ``source`` ends its error."""
-
-    def parse(text: str) -> int:
-        try:
-            if low <= int(text) <= high:
-                return int(text)
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"expected an integer in [{low}, {high}]{source}, "
-                                         f"got {text!r}")
-
-    return parse
-
-
-def _checked(check):
-    """An argparse type: ``check(float(text))``, whose refusal is a usage error naming the option."""
+def _checked(check, number=float):
+    """An argparse type: ``check(number(text))``; a refusal is a usage error naming the option."""
 
     def parse(text: str):
         try:
-            return check(float(text))
+            return check(number(text))
         except ValueError as exc:  # also InvalidParameter
             raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
+
+
+def _count(name: str, low: int, high: int | None = None):
+    """An argparse type: an integer in ``[low, high]`` by ``qubit._require_count``, written in
+    decimal digits; other text goes to the rule as it is, so that the refusal names that text."""
+    return _checked(partial(_require_count, name, low=low, high=high),
+                    lambda text: int(text) if text.isdecimal() else text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,12 +381,11 @@ def _parser(seed_default: str) -> argparse.ArgumentParser:
     sampling = argparse.ArgumentParser(add_help=False)
     # a string default goes through the type too, so $SEQMEAS_SEED is checked;
     # the sampler reads only the low 64 bits, so a larger seed would alias a smaller one
-    sampling.add_argument("--seed",
-                          type=_int_in(0, _MASK64, source=f" (--seed or ${SEED_ENV_VAR})"),
+    sampling.add_argument("--seed", type=_count(f"seed (--seed or ${SEED_ENV_VAR})", 0, _MASK64),
                           default=seed_default,
                           help=f"sampling seed in [0, 2^64 - 1] "
                           f"(default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
-    sampling.add_argument("--workers", type=_int_in(1), default=1,
+    sampling.add_argument("--workers", type=_count("workers", 1), default=1,
                           help="shard estimate's trials across up to N threads, at most one "
                           "per core (results identical); verify draws counts and ignores it")
 
@@ -400,29 +394,29 @@ def _parser(seed_default: str) -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", parents=[angles, coupling, output, sampling],
                            help="Monte Carlo run with corrected estimates")
-    p_est.add_argument("--trials", type=_int_in(1, MAX_TRIALS), default=1_000_000)
+    p_est.add_argument("--trials", type=_count("trials", 1, MAX_TRIALS), default=1_000_000)
     p_est.set_defaults(run=cmd_estimate)
 
     p_trade = sub.add_parser("tradeoff", parents=[angles, output],
                              help="precision trade-off sweep over the coupling")
-    p_trade.add_argument("--grid", type=_int_in(2, MAX_GRID), default=100,
+    p_trade.add_argument("--grid", type=_count("grid", 2, MAX_GRID), default=100,
                          help="number of swept couplings between the endpoint rows")
     p_trade.set_defaults(run=cmd_tradeoff)
 
     p_verify = sub.add_parser("verify", parents=[output, sampling],
                               help="run the self-verification suites")
-    p_verify.add_argument("--verify-trials", type=_int_in(1, MAX_VERIFY_TRIALS), default=None,
-                          help="override trials for both statistical suites")
-    p_verify.add_argument("--verify-repeats", type=_int_in(2, MAX_VERIFY_REPEATS), default=None,
-                          help="override repeats for both statistical suites")
+    p_verify.add_argument("--verify-trials", type=_count("trials", 1, MAX_VERIFY_TRIALS),
+                          default=None, help="override trials for both statistical suites")
+    p_verify.add_argument("--verify-repeats", type=_count("repeats", 2, MAX_VERIFY_REPEATS),
+                          default=None, help="override repeats for both statistical suites")
     p_verify.set_defaults(run=cmd_verify)
 
     p_znzd = sub.add_parser("znzd", parents=[angles, output],
                             help="classify the state / scan the ZNZD locus")
     p_znzd.add_argument("--scan", action="store_true",
                         help="scan a (phi, alpha) grid and emit the nontrivial locus")
-    p_znzd.add_argument("--scan-points", type=_int_in(4, MAX_SCAN_POINTS), default=360,
-                        help="grid resolution per angle for --scan")
+    p_znzd.add_argument("--scan-points", type=_count("scan points", 4, MAX_SCAN_POINTS),
+                        default=360, help="grid resolution per angle for --scan")
     p_znzd.add_argument("--tol", type=_checked(check_tol), default=ZNZD_TOL,
                         help="tolerance for the classification tests")
     p_znzd.set_defaults(run=cmd_znzd)

@@ -83,6 +83,8 @@ class JointSetup:
 # the first axis of the cells that meter_law and b_law sum, for one law or many:
 # (m=+1,b=+1), (m=+1,b=-1), (m=-1,b=+1), (m=-1,b=-1).
 JOINT_CELLS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+CELL_NAMES = ("pp", "pm", "mp", "mm")  # the cells' names in reports: p for +1, m for -1
+OUTCOME_NAMES = ("p_plus", "p_minus")  # the names of a marginal law's two outcomes
 
 
 def meter_law(cells):

@@ -39,7 +39,7 @@ from .correction import estimator_weights
 from .coupling import JointSetup, joint_distribution
 from .errors import DegenerateDistribution, InvalidParameter
 from .fisher import cramer_rao_bound, joint_informations
-from .qubit import _require_count, a_direction, expectation
+from .qubit import _require_count, _require_finite, a_direction, expectation
 
 _MASK64 = (1 << 64) - 1
 _MAX_KEY = (1 << 128) - 1  # the largest Philox key, which seeds the checks' draws
@@ -158,11 +158,12 @@ def _thread_count(workers: int, trials: int) -> int:
 
 
 def _scenario_law(setup: JointSetup) -> np.ndarray:
-    """The joint law of a setup holding one scenario; a stack is refused, not flattened."""
-    law = joint_distribution(setup)
+    """The joint law of a setup holding one scenario; a stack or a non-finite law is refused."""
+    with np.errstate(invalid="ignore"):  # an infinite angle gives a NaN law, which is refused
+        law = joint_distribution(setup)
     if law.shape != (4,):
         raise InvalidParameter(f"setup must hold one scenario, its law has shape {law.shape}")
-    return law
+    return _require_finite("joint law", law)
 
 
 def sample(setup: JointSetup, trials: int, seed: int, workers: int = 1) -> TrialBatch:

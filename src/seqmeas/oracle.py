@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import JOINT_CELLS, JointSetup
+from .errors import InvalidParameter
 from .qubit import ObservableDirection, PureState
 
 # sigma_x, sigma_y, sigma_z
@@ -113,5 +114,7 @@ def simulate(setup: JointSetup) -> OracleResult:
 
 def born_probability(state_vector: np.ndarray, direction: ObservableDirection, sign: int) -> float:
     """Projective outcome probability |<v|psi>|^2 on an uncoupled state; v: eigenvector of sign."""
+    if sign not in (+1, -1):
+        raise InvalidParameter(f"sign must be +1 or -1, got {sign!r}")
     eigvecs = _eigenvectors(np.array([direction.theta]), np.array([direction.varphi]))[0]
     return float(abs(np.vdot(eigvecs[:, {+1: 1, -1: 0}[sign]], state_vector)) ** 2)

@@ -267,17 +267,6 @@ class TestTradeoff:
         assert all(b <= a for a, b in zip(etas, etas[1:]))
         assert epsilons[0] < epsilons[-1] and etas[0] > etas[-1]
 
-    def test_grid_too_small(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["tradeoff", *self.FIG_ARGS, "--grid", "1"])
-        assert excinfo.value.code == 2
-
-    def test_grid_above_cap(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["tradeoff", *self.FIG_ARGS, "--grid", str(MAX_GRID + 1)])
-        assert excinfo.value.code == 2
-        assert "--grid" in capsys.readouterr().err
-
     def test_znzd_input_rejected(self, capsys):
         code, _, err = run(capsys, [
             "tradeoff", "--alpha", "0.7853981633974483", "--phi", "1.5707963267948966",
@@ -429,12 +418,6 @@ class TestZnzd:
         phis = sorted({round(row["phi"], 9) for row in rows})
         assert phis == [pytest.approx(math.pi / 2), pytest.approx(3 * math.pi / 2)]
         assert all(abs(math.sin(2 * row["alpha"])) > 1e-9 for row in rows)
-
-    def test_scan_points_above_cap(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["znzd", "--scan", "--scan-points", str(MAX_SCAN_POINTS + 1)])
-        assert excinfo.value.code == 2
-        assert "--scan-points" in capsys.readouterr().err
 
     @pytest.mark.parametrize(("theta", "varphi", "tol", "points"), SCAN_CASES)
     def test_scan_equals_the_classification_of_every_grid_point(
@@ -649,17 +632,48 @@ def test_out_of_domain_value_is_a_usage_error_naming_the_option(capsys, command,
     assert f"argument {option}: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command,option,cap", [
-    ("estimate", "--trials", MAX_TRIALS),
-    ("verify", "--verify-trials", MAX_VERIFY_TRIALS),
-    ("verify", "--verify-repeats", MAX_VERIFY_REPEATS),
-])
-def test_trials_above_cap(capsys, command, option, cap):
-    # parser only: the run above the cap is refused before any sampling
+# Each integer option: its subcommand, its least value and its cap (None: uncapped).
+INTEGER_OPTIONS = [
+    ("estimate", "--trials", 1, MAX_TRIALS),
+    ("estimate", "--workers", 1, None),
+    ("estimate", "--seed", 0, 2**64 - 1),
+    ("tradeoff", "--grid", 2, MAX_GRID),
+    ("znzd", "--scan-points", 4, MAX_SCAN_POINTS),
+    ("verify", "--verify-trials", 1, MAX_VERIFY_TRIALS),
+    ("verify", "--verify-repeats", 2, MAX_VERIFY_REPEATS),
+]
+NOT_INTEGERS = ["1.5", "1e6", "x", "+5", "1_000"]  # an integer is written in decimal digits
+
+
+def assert_count_refused(capsys, argv, option, value):
+    """``main(argv)`` exits 2 with the usage error of the count rule, naming option and value."""
     with pytest.raises(SystemExit) as excinfo:
-        main([command, option, str(cap + 1)])
+        main(argv)
     assert excinfo.value.code == 2
-    assert option in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"argument {option}: " in err and " must be an integer " in err
+    assert err.rstrip().endswith((f"got {value!r}", f"got {value}")) and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("command,option,value", [
+    pytest.param(command, option, value, id=f"{option}={value}")
+    for command, option, low, cap in INTEGER_OPTIONS
+    for value in [*NOT_INTEGERS, str(low - 1), *([] if cap is None else [str(cap + 1)])]
+])
+def test_an_integer_option_outside_its_count_rule_is_a_usage_error(capsys, command, option,
+                                                                    value):
+    # qubit._require_count refuses the value as the command line is parsed, before any run; text
+    # that writes no integer reaches it as text, so that the message names it
+    assert_count_refused(capsys, [command, option, value], option, value)
+
+
+@pytest.mark.parametrize("value", [*NOT_INTEGERS, "-1", str(2**64)])
+@pytest.mark.parametrize("command", ["estimate", "verify"])
+def test_a_seed_variable_outside_the_count_rule_is_a_usage_error(capsys, monkeypatch, command,
+                                                                 value):
+    monkeypatch.setenv("SEQMEAS_SEED", value)
+    assert "$SEQMEAS_SEED" in assert_count_refused(capsys, [command], "--seed", value)
 
 
 class TestSeedAndOutput:

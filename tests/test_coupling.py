@@ -417,11 +417,19 @@ class TestOracleEquivalence:
                 projector = np.outer(vectors[:, column], vectors[:, column].conj())
                 assert oracle.born_probability(psi, setup.b_dir, sign) == pytest.approx(
                     np.vdot(psi, projector @ psi).real, abs=1e-12)
-        with pytest.raises(KeyError):
-            oracle.born_probability(psi, setup.b_dir, 0)
+
+    @pytest.mark.parametrize("sign", [0, 2, -2, 0.5])
+    def test_a_sign_other_than_plus_or_minus_one_is_refused_by_both_born_rules(self, sign):
+        # the oracle's rule used to raise a bare KeyError from its column lookup
+        state, direction = make_state(0.4, 0.9), make_direction(1.0, 0.3)
+        message = rf"^sign must be \+1 or -1, got {sign!r}$"
+        with pytest.raises(InvalidParameter, match=message):
+            born_probability(state, direction, sign)
+        with pytest.raises(InvalidParameter, match=message):
+            oracle.born_probability(state.vector(), direction, sign)
 
     def test_the_oracle_imports_no_closed_form(self):
-        # the oracle shares only the scenario's types and the cell order with the model
+        # the oracle shares the scenario's types, the cell order and an error type: no formula
         tree = ast.parse(Path(oracle.__file__).read_text())
         imported = set()
         for node in ast.walk(tree):
@@ -429,7 +437,8 @@ class TestOracleEquivalence:
                 imported.update(alias.name for alias in node.names)
             elif isinstance(node, ast.Import):
                 imported.update(alias.name for alias in node.names if alias.name.startswith("seqmeas"))
-        assert imported == {"JOINT_CELLS", "JointSetup", "ObservableDirection", "PureState"}
+        assert imported == {"InvalidParameter", "JOINT_CELLS", "JointSetup", "ObservableDirection",
+                            "PureState"}
 
 
 def uniform_loop(count, seed, gamma_range):

@@ -14,6 +14,7 @@ from seqmeas import (
     DegenerateDistribution,
     InvalidParameter,
     JointSetup,
+    PureState,
     TrialBatch,
     a_direction,
     cramer_rao_bound,
@@ -649,6 +650,17 @@ def test_a_stack_of_scenarios_is_refused(call, rows):
     setup = stacked_setup(random_scenarios(rows, seed=0))
     with pytest.raises(InvalidParameter, match=rf"^setup must hold one scenario, its law has "
                                                rf"shape \(4, {rows}\)$"):
+        call(setup, 1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", [call for call, _, _ in SEED_CALLS.values()],
+                         ids=[prefix.strip() or "sample" for prefix in SEED_CALLS])
+def test_a_non_finite_law_is_refused(call, value):
+    # a state built without make_state's check has a NaN law: sample used to count every
+    # trial in the last cell, and the checks failed with numpy's bare "pvals" ValueError
+    setup = JointSetup(PureState(value, 0.0), make_direction(1.0, 0.0), Coupling(0.9))
+    with pytest.raises(InvalidParameter, match=r"^joint law must be finite, got nan$"):
         call(setup, 1)
 
 
