@@ -386,8 +386,8 @@ def _parser(seed_default: str) -> argparse.ArgumentParser:
                           help=f"sampling seed in [0, 2^64 - 1] "
                           f"(default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
     sampling.add_argument("--workers", type=_count("workers", 1), default=1,
-                          help="shard estimate's trials across up to N threads, at most one "
-                          "per core (results identical); verify draws counts and ignores it")
+                          help="split estimate's trials into up to N shards, one thread each, "
+                          "at most one per core (results identical); verify ignores it")
 
     sub.add_parser("probs", parents=[angles, coupling, output],
                    help="exact outcome laws of one scenario").set_defaults(run=cmd_probs)
@@ -418,7 +418,7 @@ def _parser(seed_default: str) -> argparse.ArgumentParser:
     p_znzd.add_argument("--scan-points", type=_count("scan points", 4, MAX_SCAN_POINTS),
                         default=360, help="grid resolution per angle for --scan")
     p_znzd.add_argument("--tol", type=_checked(check_tol), default=ZNZD_TOL,
-                        help="tolerance for the classification tests")
+                        help="tolerance for the classification tests, in (0, 1)")
     p_znzd.set_defaults(run=cmd_znzd)
     return parser
 

@@ -80,9 +80,9 @@ def estimator_weights(setup: JointSetup) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_tol(tol: float) -> float:
-    """The classification tolerance ``tol``, refused unless it is positive."""
-    if not (tol > 0.0):
-        raise InvalidParameter(f"tol must be positive, got {tol!r}")
+    """The classification tolerance, refused outside (0, 1), NaN too: tol >= 1 makes all trivial."""
+    if not (0.0 < tol < 1.0):
+        raise InvalidParameter(f"tol must lie in (0, 1), got {tol!r}")
     return tol
 
 

@@ -112,9 +112,6 @@ class TrialBatch:
     counts: tuple[int, int, int, int]
     trials: int
 
-    def frequencies(self) -> np.ndarray:
-        return np.array(self.counts, dtype=float) / self.trials
-
 
 @dataclass(frozen=True)
 class SampleStats:
@@ -169,8 +166,8 @@ def _scenario_law(setup: JointSetup) -> np.ndarray:
 def sample(setup: JointSetup, trials: int, seed: int, workers: int = 1) -> TrialBatch:
     """Draw ``trials`` outcomes of the joint law; trial i depends only on (seed, i).
 
-    Several shards run one per thread and a shard's exception is re-raised here;
-    the caller only waits, so a tracer parents the shards on its open span.
+    Every shard, a lone one too, runs on a thread of its own, and a shard's exception
+    is re-raised here; the caller only waits, so a tracer parents the shards on its open span.
     """
     trials = _require_count("trials", trials, 1)
     workers = _require_count("workers", workers, 1)
@@ -188,14 +185,12 @@ def sample(setup: JointSetup, trials: int, seed: int, workers: int = 1) -> Trial
         except Exception as exc:  # re-raised on the caller's thread below
             errors.append(exc)
 
-    if threads == 1:  # a single shard runs on the caller's thread and starts none
-        run(0)
-    else:  # daemon threads, which an interrupted caller need not wait for
-        shards = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(threads)]
-        for shard in shards:
-            shard.start()
-        for shard in shards:
-            shard.join()
+    # daemon threads, which an interrupted caller need not wait for
+    shards = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(threads)]
+    for shard in shards:
+        shard.start()
+    for shard in shards:
+        shard.join()
     if errors:
         raise errors[0]
     a, b, c = map(sum, zip(*parts))
@@ -217,7 +212,7 @@ def estimate(batch: TrialBatch, weights: tuple[np.ndarray, np.ndarray]) -> Sampl
     through the affine maps.
     """
     w_a, w_b = weights
-    f = batch.frequencies()
+    f = np.array(batch.counts, dtype=float) / batch.trials
     return SampleStats(
         est_A=float(w_a @ f),
         est_B=float(w_b @ f),
@@ -268,17 +263,17 @@ def unbiasedness_check(setup: JointSetup, trials: int, repeats: int, seed: int) 
     }
 
 
-def crb_check(setup: JointSetup, trials: int, repeats: int, seed: int) -> tuple[dict, float]:
-    """Metrics of the empirical estimator variances, and the B estimator's variance.
+def crb_check(setup: JointSetup, trials: int, repeats: int, seed: int) -> dict:
+    """Ratios of the empirical estimator variances to their references, and the references.
 
     The A estimator saturates its bound by construction, so ``ratio_A``,
-    its empirical variance over the bound, concentrates near 1.  The B estimator
+    its empirical variance over the bound ``crb_A``, concentrates near 1.  The B estimator
     also uses the meter record, which the B-channel Fisher information does
     not account for, so ``ratio_B`` divides by the exact multinomial variance
-    ``var_B_analytic`` instead; the caller may compare the variance to ``crb_B``.
+    ``var_B_analytic`` instead; the empirical variance, ``ratio_B var_B_analytic``,
+    may be compared to ``crb_B``.
     """
     est_a_vals, est_b_vals, w_b, law = _batch_estimates(setup, trials, repeats, seed)
-    var_b = float(est_b_vals.var(ddof=1))
     i_a, i_b = joint_informations(law, setup.coupling)
     for info, channel in ((i_a, "meter (A channel)"), (i_b, "second measurement (B channel)")):
         if np.isnan(info):
@@ -289,8 +284,8 @@ def crb_check(setup: JointSetup, trials: int, repeats: int, seed: int) -> tuple[
     var_b_analytic = _affine_variance(w_b, law, trials)
     return {
         "ratio_A": float(est_a_vals.var(ddof=1)) / crb_a,
-        "ratio_B": var_b / var_b_analytic,
+        "ratio_B": float(est_b_vals.var(ddof=1)) / var_b_analytic,
         "crb_A": crb_a,
         "crb_B": cramer_rao_bound(i_b, trials),
         "var_B_analytic": var_b_analytic,
-    }, var_b
+    }

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import JOINT_CELLS, JointSetup
-from .errors import InvalidParameter
-from .qubit import ObservableDirection, PureState
+from .qubit import ObservableDirection, PureState, _require_sign
 
 # sigma_x, sigma_y, sigma_z
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
@@ -114,7 +113,6 @@ def simulate(setup: JointSetup) -> OracleResult:
 
 def born_probability(state_vector: np.ndarray, direction: ObservableDirection, sign: int) -> float:
     """Projective outcome probability |<v|psi>|^2 on an uncoupled state; v: eigenvector of sign."""
-    if sign not in (+1, -1):
-        raise InvalidParameter(f"sign must be +1 or -1, got {sign!r}")
+    sign = _require_sign(sign)
     eigvecs = _eigenvectors(np.array([direction.theta]), np.array([direction.varphi]))[0]
     return float(abs(np.vdot(eigvecs[:, {+1: 1, -1: 0}[sign]], state_vector)) ** 2)

@@ -63,6 +63,13 @@ def _require_count(name: str, value, low: int, high: int | None = None) -> int:
     return int(value)
 
 
+def _require_sign(sign) -> int:
+    """An outcome label, the integer +1 or -1: a bool or a float is refused, not read as one."""
+    if isinstance(sign, bool) or not isinstance(sign, numbers.Integral) or sign not in (1, -1):
+        raise InvalidParameter(f"sign must be +1 or -1, got {sign!r}")
+    return int(sign)
+
+
 def _wrap_two_pi(angle: float | np.ndarray) -> np.ndarray:
     wrapped = np.fmod(angle, TWO_PI)  # not np.mod, which turns -0.0 into +0.0
     wrapped = np.where(wrapped < 0.0, wrapped + TWO_PI, wrapped)
@@ -147,8 +154,7 @@ def bloch_terms(state: PureState, direction: ObservableDirection) -> tuple[float
 
 def born_probability(state: PureState, direction: ObservableDirection, sign: int) -> float:
     """Probability ``(1 + sign <sigma . n>) / 2`` of outcome ``sign`` (+1 or -1) on each state."""
-    if sign not in (+1, -1):
-        raise InvalidParameter(f"sign must be +1 or -1, got {sign!r}")
+    sign = _require_sign(sign)
     return np.clip(0.5 * (1.0 + sign * expectation(state, direction)), 0.0, 1.0)
 
 

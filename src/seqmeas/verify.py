@@ -185,10 +185,10 @@ def suite_crb(
     seed: int = 3,
 ) -> SuiteResult:
     """Variance ratios against the saturated bound and the multinomial propagation."""
-    metrics, var_b = crb_check(setup, trials, repeats, seed)
+    metrics = crb_check(setup, trials, repeats, seed)
     ratio_a, ratio_b = metrics["ratio_A"], metrics["ratio_B"]
     lo, hi = VERIFY_RATIO_BAND
-    meets_bound = var_b >= metrics["crb_B"] * (1.0 - CRB_TOLERANCE)
+    meets_bound = ratio_b * metrics["var_B_analytic"] >= metrics["crb_B"] * (1.0 - CRB_TOLERANCE)
     return SuiteResult(
         name="cramer_rao",
         passed=lo <= ratio_a <= hi and lo <= ratio_b <= hi,

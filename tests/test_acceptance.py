@@ -88,7 +88,7 @@ def test_criterion_3_unbiasedness():
 def test_criterion_4_cramer_rao_saturation():
     setup = default_setup()
     start = time.perf_counter()
-    metrics, _ = crb_check(setup, trials=10**5, repeats=200, seed=9)
+    metrics = crb_check(setup, trials=10**5, repeats=200, seed=9)
     elapsed = time.perf_counter() - start
     ratio_a, ratio_b = metrics["ratio_A"], metrics["ratio_B"]
     ok = 0.9 <= ratio_a <= 1.1 and 0.9 <= ratio_b <= 1.1 and elapsed < 60.0

@@ -384,7 +384,7 @@ SCAN_CASES = [
     (0.0, 0.0, 1e-9, 36),
     (math.pi, 1.0, 1e-9, 36),
     (1.0471975511965976, 0.5, 0.5, 36),
-    (1.0471975511965976, 0.5, 1.5, 36),
+    (1.0471975511965976, 0.5, 0.95, 36),  # a wide tol: from 1 on, tol is refused
     (math.pi / 2, 0.0, 1e-9, 4),
     (math.pi / 2, 0.0, 1e-9, 36),
     *((_SCAN_RNG.uniform(-7.0, 7.0), _SCAN_RNG.uniform(-7.0, 7.0),
@@ -438,12 +438,13 @@ class TestZnzd:
             assert code == 0
             assert out == written_rows(["alpha", "phi"], rows, fmt)
 
-    @pytest.mark.parametrize("tol", ["0", "nan", "-1"])
+    @pytest.mark.parametrize("tol", ["0", "nan", "-1", "inf", "1", "2"])
     def test_scan_rejects_a_nonpositive_tol(self, capsys, tol):
+        # from 1 on, every pair would class as trivially ZNZD
         code, out, err = run(capsys, ["znzd", "--scan", "--tol", tol])
         assert code == 2
         assert out == ""
-        assert "tol must be positive" in err
+        assert "tol must lie in (0, 1)" in err
 
     def test_scan_classifies_the_grid_in_one_call(self, capsys, monkeypatch):
         masks, classified = [], []

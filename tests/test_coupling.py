@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -418,18 +419,20 @@ class TestOracleEquivalence:
                 assert oracle.born_probability(psi, setup.b_dir, sign) == pytest.approx(
                     np.vdot(psi, projector @ psi).real, abs=1e-12)
 
-    @pytest.mark.parametrize("sign", [0, 2, -2, 0.5])
+    @pytest.mark.parametrize("sign", [0, 2, -2, 0.5, True, False, 1.0, -1.0, np.float64(1),
+                                      np.True_])
     def test_a_sign_other_than_plus_or_minus_one_is_refused_by_both_born_rules(self, sign):
-        # the oracle's rule used to raise a bare KeyError from its column lookup
+        # the oracle's rule used to raise a bare KeyError from its column lookup, and both
+        # rules read True and 1.0 as +1
         state, direction = make_state(0.4, 0.9), make_direction(1.0, 0.3)
-        message = rf"^sign must be \+1 or -1, got {sign!r}$"
+        message = rf"^sign must be \+1 or -1, got {re.escape(repr(sign))}$"
         with pytest.raises(InvalidParameter, match=message):
             born_probability(state, direction, sign)
         with pytest.raises(InvalidParameter, match=message):
             oracle.born_probability(state.vector(), direction, sign)
 
     def test_the_oracle_imports_no_closed_form(self):
-        # the oracle shares the scenario's types, the cell order and an error type: no formula
+        # the oracle shares the scenario's types, the cell order and the sign rule: no formula
         tree = ast.parse(Path(oracle.__file__).read_text())
         imported = set()
         for node in ast.walk(tree):
@@ -437,8 +440,8 @@ class TestOracleEquivalence:
                 imported.update(alias.name for alias in node.names)
             elif isinstance(node, ast.Import):
                 imported.update(alias.name for alias in node.names if alias.name.startswith("seqmeas"))
-        assert imported == {"InvalidParameter", "JOINT_CELLS", "JointSetup", "ObservableDirection",
-                            "PureState"}
+        assert imported == {"JOINT_CELLS", "JointSetup", "ObservableDirection", "PureState",
+                            "_require_sign"}
 
 
 def uniform_loop(count, seed, gamma_range):

@@ -161,7 +161,7 @@ class TestSample:
         n = 1_000_000
         failures = 0
         for seed in range(30):
-            freq = sample(worked_setup, n, seed=seed).frequencies()
+            freq = np.array(sample(worked_setup, n, seed=seed).counts) / n
             tol = 5.0 * np.sqrt(law * (1 - law) / n)
             if not np.all(np.abs(freq - law) < tol):
                 failures += 1
@@ -252,6 +252,30 @@ class TestWordThresholds:
             for cum in (np.array([c, c, c, 1.0]), np.array([0.0, c, 1.0, 1.0])):
                 np.testing.assert_array_equal(kernel_counts(cum, seed, lo, hi),
                                               defined_counts(cum, seed, lo, hi))
+
+
+class TestOneShard:
+    # one shard takes the same path as several: it runs on a thread of its own, one CPU or many
+    def test_a_lone_shard_runs_off_the_callers_thread(self, worked_setup, monkeypatch):
+        real = montecarlo._counts_below
+        threads = []
+
+        def spy(thresholds, seed, start, stop):
+            threads.append(threading.get_ident())
+            return real(thresholds, seed, start, stop)
+
+        monkeypatch.setattr(montecarlo, "_counts_below", spy)
+        batch = sample(worked_setup, 1000, seed=21, workers=4)  # 1000 trials: one shard
+        assert len(threads) == 1 and threads[0] != threading.get_ident()
+        assert batch.counts == tuple(reference_counts(cumulative_law(worked_setup), 21, 0, 1000))
+
+    def test_a_lone_shards_exception_reaches_the_caller(self, worked_setup, monkeypatch):
+        def failing(thresholds, seed, start, stop):
+            raise RuntimeError("shard failed")
+
+        monkeypatch.setattr(montecarlo, "_counts_below", failing)
+        with pytest.raises(RuntimeError, match="shard failed"):
+            sample(worked_setup, 1000, seed=21)
 
 
 @pytest.mark.skipif(CPUS < 2, reason="two shards need two CPUs")
@@ -407,7 +431,7 @@ class TestEstimate:
     def test_standard_error_identity_for_a(self, worked_setup):
         batch = sample(worked_setup, 200_000, seed=17)
         stats = estimate(batch, estimator_weights(worked_setup))
-        f = batch.frequencies()
+        f = np.array(batch.counts) / batch.trials
         fm_plus, fm_minus = f[0] + f[1], f[2] + f[3]
         kappa = worked_setup.coupling.kappa
         expected = math.sqrt(4 * fm_plus * fm_minus / (batch.trials * kappa**2))
@@ -502,17 +526,20 @@ class TestUnbiasednessCheck:
 
 class TestCrbCheck:
     def test_bound_value(self, worked_setup):
-        metrics, var_b = crb_check(worked_setup, trials=10_000, repeats=20, seed=5)
+        metrics = crb_check(worked_setup, trials=10_000, repeats=20, seed=5)
         assert list(metrics) == ["ratio_A", "ratio_B", "crb_A", "crb_B", "var_B_analytic"]
         # I_A_joint = kappa^2/4 / (0.35 * 0.65)
         expected_crb = 1.0 / (10_000 * (0.09 / 0.2275))
         assert metrics["crb_A"] == pytest.approx(expected_crb, rel=1e-9)
         assert metrics["var_B_analytic"] > 0.0
         assert metrics["crb_B"] == pytest.approx(1.0 / (10_000 * 0.16 / 0.13), rel=1e-9)
+        # the empirical B variance, from the same draws, is ratio_B times its reference
+        _, est_b_vals, _, _ = _batch_estimates(worked_setup, trials=10_000, repeats=20, seed=5)
+        var_b = float(est_b_vals.var(ddof=1))
         assert var_b == pytest.approx(metrics["ratio_B"] * metrics["var_B_analytic"], rel=1e-12)
 
     def test_ratios_concentrate(self, worked_setup):
-        metrics, _ = crb_check(worked_setup, trials=100_000, repeats=200, seed=9)
+        metrics = crb_check(worked_setup, trials=100_000, repeats=200, seed=9)
         assert 0.9 <= metrics["ratio_A"] <= 1.1
         assert 0.9 <= metrics["ratio_B"] <= 1.1
 

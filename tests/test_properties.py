@@ -230,7 +230,7 @@ znzd_pairs = st.builds(
 
 
 @PROPERTY
-@given(pairs=st.lists(znzd_pairs, max_size=20), tol=st.floats(1e-12, 1.5))
+@given(pairs=st.lists(znzd_pairs, max_size=20), tol=st.floats(1e-12, 1.0, exclude_max=True))
 def test_the_stacked_masks_classify_as_is_znzd_does_pair_by_pair(pairs, tol):
     alpha, phi, theta, varphi = np.reshape(
         [(s.alpha, s.phi, d.theta, d.varphi) for s, d in pairs], (-1, 4)).T
@@ -348,7 +348,8 @@ def command_lines(draw, numbers=reals):
     if command == "znzd" and draw(st.booleans()):
         argv += ["--scan", "--scan-points", str(draw(st.integers(4, 60)))]
     if command == "znzd" and draw(st.booleans()):
-        argv += given_as("--tol", draw(st.sampled_from([1e-9, 0.7, 0.0, -1e-9]) | numbers))
+        tols = st.sampled_from([1e-9, 0.7, 0.0, -1e-9, 1.0, 1.5, math.inf])  # both ends of (0, 1)
+        argv += given_as("--tol", draw(tols | numbers))
     if command == "estimate":  # last, so that argv[:-2] is the same run without it
         argv += ["--workers", str(draw(st.sampled_from([1, 2, 3, 4])))]
     return argv
@@ -412,6 +413,9 @@ def assert_prints_the_values_given(argv, out):
 def test_every_command_line_gives_a_valid_output_or_exit_code_2(argv):
     code, out, err = captured(lambda: main(argv))
     assert code in (0, 2)
+    tol = given_value(argv, "--tol")
+    if tol is not None and not 0.0 < float(tol) < 1.0:  # a NaN tol fails both comparisons
+        assert code == 2
     if code == 0:
         if "csv" in argv:
             rows = list(csv.reader(io.StringIO(out)))
