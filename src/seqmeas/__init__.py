@@ -32,13 +32,11 @@ from .errors import (
     UnboundedVariance,
 )
 from .fisher import (
-    FisherReport,
     cramer_rao_bound,
     precisions,
     tradeoff_curve,
 )
 from .montecarlo import (
-    SampleStats,
     TrialBatch,
     crb_check,
     estimate,

@@ -257,19 +257,19 @@ def cmd_estimate(args: argparse.Namespace, out: TextIO) -> int:
     stats = estimate(batch, weights)
     true_a = expectation(setup.state, a_direction())
     true_b = expectation(setup.state, setup.b_dir)
-    z_a = _z_score(stats.est_A, true_a, stats.se_A)
-    z_b = _z_score(stats.est_B, true_b, stats.se_B)
+    z_a = _z_score(stats["est_A"], true_a, stats["se_A"])
+    z_b = _z_score(stats["est_B"], true_b, stats["se_B"])
     report = {
         "scenario": scenario,
         "trials": args.trials,
         "seed": args.seed,
         "counts": dict(zip(CELL_NAMES, batch.counts)),
-        "est_A": stats.est_A,
-        "se_A": stats.se_A,
+        "est_A": stats["est_A"],
+        "se_A": stats["se_A"],
         "true_A": true_a,
         "z_A": z_a,
-        "est_B": stats.est_B,
-        "se_B": stats.se_B,
+        "est_B": stats["est_B"],
+        "se_B": stats["se_B"],
         "true_B": true_b,
         "z_B": z_b,
     }
@@ -312,10 +312,10 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     results = run_verification(
         seed=args.seed, trials=args.verify_trials, repeats=args.verify_repeats
     )
-    all_passed = all(r.passed for r in results)
+    all_passed = all(r["passed"] for r in results)
     report = {
         "seed": args.seed,
-        "suites": [asdict(r) for r in results],
+        "suites": results,
         "passed": all_passed,
     }
     out.write(_render_report(report, args.fmt))

@@ -14,8 +14,6 @@ and trade off against each other as the coupling strength varies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .correction import ZnzdClass, is_znzd
@@ -34,18 +32,6 @@ from .qubit import ObservableDirection, PureState, _require_count, a_direction, 
 ENDPOINT_OFFSET = 1e-6
 
 
-@dataclass(frozen=True)
-class FisherReport:
-    """The four Fisher informations and the precision ratios; arrays for a stack."""
-
-    i_A_joint: float
-    i_B_joint: float
-    i_A_proj: float
-    i_B_proj: float
-    epsilon: float
-    eta: float
-
-
 def _binary_information(p_plus, p_minus, dp):
     """``dp^2 / (p_plus p_minus)``, for one law or for arrays of them; nan where ``p_plus``
     is not in (0, 1), since the information diverges there."""
@@ -60,8 +46,11 @@ def joint_informations(law: np.ndarray, coupling: Coupling) -> tuple[float, floa
             _binary_information(*b_law(law), 0.5 * coupling.deco))
 
 
-def precisions(setup: JointSetup) -> FisherReport:
+def precisions(setup: JointSetup) -> dict:
     """Fisher informations and the ratios epsilon, eta, for one scenario or a stack.
+
+    The keys are ``i_A_joint``, ``i_B_joint``, ``i_A_proj``, ``i_B_proj``, ``epsilon`` and
+    ``eta``, in that order; each value is a float, or an array for a stack.
 
     The state, the direction and the coupling may each be stacked.  An eigenstate of either
     observable anywhere in the stack raises :class:`DegenerateDistribution`; where a marginal
@@ -83,14 +72,14 @@ def precisions(setup: JointSetup) -> FisherReport:
     # [()] gives a scalar back for one scenario
     i_a_joint = np.where(degenerate, np.nan, i_a_joint)[()]
     i_b_joint = np.where(degenerate, np.nan, i_b_joint)[()]
-    return FisherReport(
-        i_A_joint=i_a_joint,
-        i_B_joint=i_b_joint,
-        i_A_proj=i_a_proj,
-        i_B_proj=i_b_proj,
-        epsilon=i_a_joint / i_a_proj,
-        eta=i_b_joint / i_b_proj,
-    )
+    return {
+        "i_A_joint": i_a_joint,
+        "i_B_joint": i_b_joint,
+        "i_A_proj": i_a_proj,
+        "i_B_proj": i_b_proj,
+        "epsilon": i_a_joint / i_a_proj,
+        "eta": i_b_joint / i_b_proj,
+    }
 
 
 def cramer_rao_bound(fi: float, trials: int) -> float:
@@ -123,5 +112,5 @@ def tradeoff_curve(state: PureState, direction: ObservableDirection, grid: int) 
             "the second measurement's statistics are coupling-invariant for "
             "this state and observable (ZNZD); the precision sweep is undefined"
         )
-    rows = np.column_stack([sweep.gamma, sweep.kappa, report.epsilon, report.eta])
+    rows = np.column_stack([sweep.gamma, sweep.kappa, report["epsilon"], report["eta"]])
     return np.vstack([(GAMMA_MIN, 0.0, 0.0, 1.0), rows, (1.0, 1.0, 1.0, 0.0)])

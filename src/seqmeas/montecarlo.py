@@ -113,16 +113,6 @@ class TrialBatch:
     trials: int
 
 
-@dataclass(frozen=True)
-class SampleStats:
-    """Point estimates of both expectations with multinomial standard errors."""
-
-    est_A: float
-    est_B: float
-    se_A: float
-    se_B: float
-
-
 def _thresholds(cum: np.ndarray) -> np.ndarray:
     """``ceil(c 2^53)`` for ``c = cum[:3]`` clipped to [0, 1] (NaN as 0), its bits read as float64:
     trial i falls in a cell <= j (``cum`` is nondecreasing) iff ``z_i >> 11``, so read, is below."""
@@ -203,8 +193,9 @@ def _affine_variance(weights: np.ndarray, probs: np.ndarray, n: int) -> float:
     return (float(weights * weights @ probs) - mean * mean) / n
 
 
-def estimate(batch: TrialBatch, weights: tuple[np.ndarray, np.ndarray]) -> SampleStats:
-    """Point estimates of both expectations from one batch.
+def estimate(batch: TrialBatch, weights: tuple[np.ndarray, np.ndarray]) -> dict:
+    """Point estimates ``est_A``, ``est_B`` of both expectations from one batch, and their
+    standard errors ``se_A``, ``se_B``, keyed in that order.
 
     ``weights`` is the pair ``(w_A, w_B)`` that :func:`estimator_weights`
     gives for the batch's setup.  Standard errors use the multinomial
@@ -213,12 +204,12 @@ def estimate(batch: TrialBatch, weights: tuple[np.ndarray, np.ndarray]) -> Sampl
     """
     w_a, w_b = weights
     f = np.array(batch.counts, dtype=float) / batch.trials
-    return SampleStats(
-        est_A=float(w_a @ f),
-        est_B=float(w_b @ f),
-        se_A=math.sqrt(max(0.0, _affine_variance(w_a, f, batch.trials))),
-        se_B=math.sqrt(max(0.0, _affine_variance(w_b, f, batch.trials))),
-    )
+    return {
+        "est_A": float(w_a @ f),
+        "est_B": float(w_b @ f),
+        "se_A": math.sqrt(max(0.0, _affine_variance(w_a, f, batch.trials))),
+        "se_B": math.sqrt(max(0.0, _affine_variance(w_b, f, batch.trials))),
+    }
 
 
 def _z_score(mean: float, truth: float, se: float) -> float:

@@ -1,17 +1,17 @@
 """Self-verification suites: oracle equivalence, correction round trips, statistics.
 
-Each suite returns a :class:`SuiteResult`; :func:`run_verification` bundles the
-five standard suites.  The suites are deterministic for a given seed (scenario
-sampling uses a seeded generator, and the two statistical suites draw the counts
-of all their repeated batches as one seeded multinomial draw; no suite hashes
-trials, which only ``estimate`` does), so a verification run is reproducible
-byte for byte.
+Each suite returns a dict of its ``name``, whether it ``passed``, a one-line ``detail`` and
+its ``metrics``, in that order; :func:`run_verification` bundles the five standard suites.
+The suites are deterministic for a given seed (scenario sampling uses a seeded generator,
+and the two statistical suites draw the counts of all their repeated batches as one seeded
+multinomial draw; no suite hashes trials, which only ``estimate`` does), so a verification
+run is reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -61,14 +61,6 @@ ZNZD_INVARIANCE_TOL = 1e-12
 ZNZD_VARIATION_FLOOR = 1e-6
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    passed: bool
-    detail: str
-    metrics: dict = field(default_factory=dict)
-
-
 def default_setup() -> JointSetup:
     return stacked_setup(np.array(DEFAULT_SCENARIO))
 
@@ -97,7 +89,7 @@ def _largest(deviations) -> float:
     return max(float(np.max(np.abs(d), initial=0.0)) for d in deviations)
 
 
-def suite_oracle_equivalence(count: int = 1000, seed: int = 0) -> SuiteResult:
+def suite_oracle_equivalence(count: int = 1000, seed: int = 0) -> dict:
     """Closed forms against the brute-force tensor simulation, over all scenarios at once."""
     scenarios = random_scenarios(count, seed)
     setup = stacked_setup(scenarios)
@@ -110,15 +102,15 @@ def suite_oracle_equivalence(count: int = 1000, seed: int = 0) -> SuiteResult:
         post_measurement_density(setup) - density,
         law.T - joint,
     ])
-    return SuiteResult(
-        name="oracle_equivalence",
-        passed=worst <= ORACLE_TOL,
-        detail=f"max deviation {worst:.3e} over {count} scenarios (tol {ORACLE_TOL:g})",
-        metrics={"max_error": worst, "count": count},
-    )
+    return {
+        "name": "oracle_equivalence",
+        "passed": worst <= ORACLE_TOL,
+        "detail": f"max deviation {worst:.3e} over {count} scenarios (tol {ORACLE_TOL:g})",
+        "metrics": {"max_error": worst, "count": count},
+    }
 
 
-def suite_round_trip(count: int = 1000, seed: int = 1) -> SuiteResult:
+def suite_round_trip(count: int = 1000, seed: int = 1) -> dict:
     """The estimator weights invert the exact model laws; degenerate couplings refuse."""
     setup = stacked_setup(random_scenarios(count, seed))
     w_a, w_b = estimator_weights(setup)
@@ -128,15 +120,15 @@ def suite_round_trip(count: int = 1000, seed: int = 1) -> SuiteResult:
         np.sum(w_b * law, axis=0) - expectation(setup.state, setup.b_dir),
     ])
     errors_ok = _degenerate_couplings_refuse()
-    return SuiteResult(
-        name="round_trip_correction",
-        passed=worst <= ROUND_TRIP_TOL and errors_ok,
-        detail=(
+    return {
+        "name": "round_trip_correction",
+        "passed": worst <= ROUND_TRIP_TOL and errors_ok,
+        "detail": (
             f"max deviation {worst:.3e} over {count} scenarios (tol {ROUND_TRIP_TOL:g}); "
             f"degenerate couplings refuse: {errors_ok}"
         ),
-        metrics={"max_error": worst, "count": count},
-    )
+        "metrics": {"max_error": worst, "count": count},
+    }
 
 
 def _refuses(check, arg) -> bool:
@@ -166,16 +158,17 @@ def suite_unbiasedness(
     trials: int = 1_000_000,
     repeats: int = 30,
     seed: int = 2,
-) -> SuiteResult:
+) -> dict:
     """Mean of repeated estimates within ``Z_LIMIT`` standard errors of truth."""
     metrics = unbiasedness_check(setup, trials, repeats, seed)
     z_a, z_b = metrics["z_A"], metrics["z_B"]
-    return SuiteResult(
-        name="unbiasedness",
-        passed=abs(z_a) < Z_LIMIT and abs(z_b) < Z_LIMIT,
-        detail=f"z_A {z_a:+.2f}, z_B {z_b:+.2f} ({repeats} x {trials} trials, limit {Z_LIMIT:g})",
-        metrics=metrics,
-    )
+    return {
+        "name": "unbiasedness",
+        "passed": abs(z_a) < Z_LIMIT and abs(z_b) < Z_LIMIT,
+        "detail": (f"z_A {z_a:+.2f}, z_B {z_b:+.2f} "
+                   f"({repeats} x {trials} trials, limit {Z_LIMIT:g})"),
+        "metrics": metrics,
+    }
 
 
 def suite_crb(
@@ -183,22 +176,22 @@ def suite_crb(
     trials: int = 100_000,
     repeats: int = 200,
     seed: int = 3,
-) -> SuiteResult:
+) -> dict:
     """Variance ratios against the saturated bound and the multinomial propagation."""
     metrics = crb_check(setup, trials, repeats, seed)
     ratio_a, ratio_b = metrics["ratio_A"], metrics["ratio_B"]
     lo, hi = VERIFY_RATIO_BAND
     meets_bound = ratio_b * metrics["var_B_analytic"] >= metrics["crb_B"] * (1.0 - CRB_TOLERANCE)
-    return SuiteResult(
-        name="cramer_rao",
-        passed=lo <= ratio_a <= hi and lo <= ratio_b <= hi,
-        detail=(
+    return {
+        "name": "cramer_rao",
+        "passed": lo <= ratio_a <= hi and lo <= ratio_b <= hi,
+        "detail": (
             f"ratio_A {ratio_a:.3f}, ratio_B {ratio_b:.3f} "
             f"(band [{lo:g}, {hi:g}], {repeats} x {trials} trials; "
             f"B meets its own bound: {meets_bound})"
         ),
-        metrics=metrics,
-    )
+        "metrics": metrics,
+    }
 
 
 def znzd_states(count: int, seed: int, nontrivial: bool) -> tuple[PureState, ObservableDirection]:
@@ -234,30 +227,33 @@ def b_variation_over_gamma(state, direction, points: int = 50):
     return np.ptp(b_law(cells)[0], axis=0)
 
 
-def suite_znzd(count: int = 100, seed: int = 4, grid: int = 50) -> SuiteResult:
+def suite_znzd(count: int = 100, seed: int = 4, grid: int = 50) -> dict:
     """Coupling invariance of b statistics exactly on the ZNZD locus."""
     znzd = znzd_states(count, seed, nontrivial=True)
     if not znzd_masks(*znzd)[1].all():
-        return SuiteResult("znzd", False, "a constructed ZNZD state was not classified as such")
+        return {"name": "znzd", "passed": False,
+                "detail": "a constructed ZNZD state was not classified as such", "metrics": {}}
     generic = znzd_states(count, seed + 1, nontrivial=False)
     if np.logical_or(*znzd_masks(*generic)).any():
-        return SuiteResult("znzd", False, "a generic state was misclassified as ZNZD")
+        return {"name": "znzd", "passed": False,
+                "detail": "a generic state was misclassified as ZNZD", "metrics": {}}
     worst_invariance = float(np.max(b_variation_over_gamma(*znzd, grid), initial=0.0))
     least_variation = float(np.min(b_variation_over_gamma(*generic, grid), initial=math.inf))
-    return SuiteResult(
-        name="znzd",
-        passed=worst_invariance <= ZNZD_INVARIANCE_TOL and least_variation > ZNZD_VARIATION_FLOOR,
-        detail=(
+    return {
+        "name": "znzd",
+        "passed": (worst_invariance <= ZNZD_INVARIANCE_TOL
+                   and least_variation > ZNZD_VARIATION_FLOOR),
+        "detail": (
             f"max ZNZD drift {worst_invariance:.3e} (tol {ZNZD_INVARIANCE_TOL:g}); "
             f"min generic variation {least_variation:.3e} (floor {ZNZD_VARIATION_FLOOR:g})"
         ),
-        metrics={"max_drift": worst_invariance, "min_variation": least_variation},
-    )
+        "metrics": {"max_drift": worst_invariance, "min_variation": least_variation},
+    }
 
 
 def run_verification(
     seed: int = 0, trials: int | None = None, repeats: int | None = None
-) -> list[SuiteResult]:
+) -> list[dict]:
     """All five standard suites; ``trials``/``repeats`` override both statistical suites."""
     setup = default_setup()
     sizes = {name: value for name, value in (("trials", trials), ("repeats", repeats))

@@ -1,5 +1,4 @@
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -62,32 +61,32 @@ class TestFisherBinary:
 class TestJointFisher:
     def test_a_joint_balanced(self):
         setup = JointSetup(make_state(math.pi / 4, 0.0), make_direction(1.0, 0.0), Coupling(math.sqrt(0.8)))
-        assert precisions(setup).i_A_joint == pytest.approx(0.36, abs=1e-12)
+        assert precisions(setup)["i_A_joint"] == pytest.approx(0.36, abs=1e-12)
 
     def test_a_joint_zero_strength(self):
         setup = JointSetup(make_state(0.6, 0.0), make_direction(1.0, 0.0), Coupling(GAMMA_MIN))
-        assert precisions(setup).i_A_joint == pytest.approx(0.0, abs=1e-24)
+        assert precisions(setup)["i_A_joint"] == pytest.approx(0.0, abs=1e-24)
 
     def test_a_joint_projective_limit(self):
         state = make_state(math.pi / 6, 0.0)
         setup = JointSetup(state, make_direction(1.0, 0.0), Coupling(1.0))
         report = precisions(setup)
-        assert report.i_A_joint == pytest.approx(4 / 3, abs=1e-12)
-        assert report.i_A_joint == pytest.approx(report.i_A_proj, abs=1e-12)
+        assert report["i_A_joint"] == pytest.approx(4 / 3, abs=1e-12)
+        assert report["i_A_joint"] == pytest.approx(report["i_A_proj"], abs=1e-12)
 
     def test_b_joint_worked_value(self, worked_setup):
         # deco^2/4 / (p_plus p_minus) = 0.16 / 0.13
-        assert precisions(worked_setup).i_B_joint == pytest.approx(0.16 / 0.13, abs=1e-9)
+        assert precisions(worked_setup)["i_B_joint"] == pytest.approx(0.16 / 0.13, abs=1e-9)
 
     def test_b_joint_undisturbed_limit(self):
         state, direction = make_state(0.7, 0.4), make_direction(1.3, 0.8)
         setup = JointSetup(state, direction, Coupling(GAMMA_MIN))
         report = precisions(setup)
-        assert report.i_B_joint == pytest.approx(report.i_B_proj, abs=1e-12)
+        assert report["i_B_joint"] == pytest.approx(report["i_B_proj"], abs=1e-12)
 
     def test_b_joint_projective_kills_information(self):
         setup = JointSetup(make_state(0.7, 0.4), make_direction(1.3, 0.8), Coupling(1.0))
-        assert precisions(setup).i_B_joint == 0.0
+        assert precisions(setup)["i_B_joint"] == 0.0
 
     def test_closed_forms_from_paper_quantities(self):
         for setup in row_setups(random_scenarios(200, seed=103)):
@@ -97,10 +96,10 @@ class TestJointFisher:
                 continue
             kappa, deco = setup.coupling.kappa, setup.coupling.deco
             report = precisions(setup)
-            assert report.i_A_joint == pytest.approx(
+            assert report["i_A_joint"] == pytest.approx(
                 0.25 * kappa**2 / (p_m[0] * p_m[1]), abs=1e-12
             )
-            assert report.i_B_joint == pytest.approx(
+            assert report["i_B_joint"] == pytest.approx(
                 0.25 * deco**2 / (p_b[0] * p_b[1]), abs=1e-12
             )
 
@@ -111,15 +110,15 @@ class TestProjectiveFisher:
         return precisions(JointSetup(state, direction, Coupling(0.9)))
 
     def test_balanced_state(self):
-        assert self.report(make_state(math.pi / 4, 0.0)).i_A_proj == pytest.approx(1.0, abs=1e-12)
+        assert self.report(make_state(math.pi / 4, 0.0))["i_A_proj"] == pytest.approx(1.0, abs=1e-12)
 
     def test_skewed_state(self):
         report = self.report(make_state(math.pi / 6, 0.0))
-        assert report.i_A_proj == pytest.approx(4 / 3, abs=1e-12)
+        assert report["i_A_proj"] == pytest.approx(4 / 3, abs=1e-12)
 
     def test_b_proj_worked_value(self):
         report = self.report(make_state(math.pi / 6, 0.0), make_direction(math.pi / 2, 0.0))
-        assert report.i_B_proj == pytest.approx(4.0, abs=1e-9)
+        assert report["i_B_proj"] == pytest.approx(4.0, abs=1e-9)
 
     def test_eigenstate_raises(self):
         # one eigenstate, first or last in a stack of states, refuses the whole stack
@@ -159,10 +158,10 @@ class TestFiniteDifferenceOracle:
             x_a = expectation(setup.state, a_direction())
             x_b = expectation(setup.state, setup.b_dir)
             report = precisions(setup)
-            assert report.i_A_joint == pytest.approx(
+            assert report["i_A_joint"] == pytest.approx(
                 fd_fisher(meter_law, x_a), rel=1e-6
             )
-            assert report.i_B_joint == pytest.approx(
+            assert report["i_B_joint"] == pytest.approx(
                 fd_fisher(b_law, x_b), rel=1e-6
             )
             checked += 1
@@ -173,21 +172,22 @@ class TestPrecisions:
     def test_projective_endpoint(self):
         setup = JointSetup(make_state(0.6, 0.2), make_direction(1.0, 0.4), Coupling(1.0))
         report = precisions(setup)
-        assert report.epsilon == pytest.approx(1.0, abs=1e-12)
-        assert report.eta == 0.0
+        assert report["epsilon"] == pytest.approx(1.0, abs=1e-12)
+        assert report["eta"] == 0.0
 
     def test_zero_strength_endpoint(self):
         setup = JointSetup(make_state(0.6, 0.2), make_direction(1.0, 0.4), Coupling(GAMMA_MIN))
         report = precisions(setup)
-        assert report.epsilon == pytest.approx(0.0, abs=1e-24)
-        assert report.eta == pytest.approx(1.0, abs=1e-12)
+        assert report["epsilon"] == pytest.approx(0.0, abs=1e-24)
+        assert report["eta"] == pytest.approx(1.0, abs=1e-12)
 
     def test_worked_ratios(self, worked_setup):
         report = precisions(worked_setup)
-        assert report.epsilon == pytest.approx(27 / 91, abs=1e-9)
-        assert report.eta == pytest.approx(4 / 13, abs=1e-9)
-        assert report.epsilon == pytest.approx(report.i_A_joint / report.i_A_proj, abs=1e-12)
-        assert report.eta == pytest.approx(report.i_B_joint / report.i_B_proj, abs=1e-12)
+        assert list(report) == ["i_A_joint", "i_B_joint", "i_A_proj", "i_B_proj", "epsilon", "eta"]
+        assert report["epsilon"] == pytest.approx(27 / 91, abs=1e-9)
+        assert report["eta"] == pytest.approx(4 / 13, abs=1e-9)
+        assert report["epsilon"] == pytest.approx(report["i_A_joint"] / report["i_A_proj"], abs=1e-12)
+        assert report["eta"] == pytest.approx(report["i_B_joint"] / report["i_B_proj"], abs=1e-12)
 
     def test_ratios_in_unit_interval(self):
         for setup in row_setups(random_scenarios(300, seed=109)):
@@ -198,8 +198,8 @@ class TestPrecisions:
             if min(pa, 1 - pa, pb, 1 - pb, p_m[0], p_m[1], p_b[0], p_b[1]) <= 0.0:
                 continue
             report = precisions(setup)
-            assert -1e-12 <= report.epsilon <= 1.0 + 1e-12
-            assert -1e-12 <= report.eta <= 1.0 + 1e-12
+            assert -1e-12 <= report["epsilon"] <= 1.0 + 1e-12
+            assert -1e-12 <= report["eta"] <= 1.0 + 1e-12
 
     def test_propagates_degeneracy_with_observable_tag(self):
         setup = JointSetup(make_state(math.pi / 2, 0.0), make_direction(1.0, 0.0), Coupling(0.9))
@@ -212,11 +212,11 @@ class TestPrecisions:
     def test_stacked_coupling_equals_each_scalar_coupling(self, alpha, phi, theta, varphi):
         state, direction = make_state(alpha, phi), make_direction(theta, varphi)
         gammas = np.linspace(GAMMA_MIN, 1.0, 41)
-        stacked = astuple(precisions(JointSetup(state, direction, Coupling(gammas))))
+        stacked = tuple(precisions(JointSetup(state, direction, Coupling(gammas))).values())
         rows = np.column_stack(np.broadcast_arrays(*stacked))
         for row, gamma in zip(rows, gammas.tolist()):
             report = precisions(JointSetup(state, direction, Coupling(gamma)))
-            assert row.tobytes() == np.array(astuple(report)).tobytes()
+            assert row.tobytes() == np.array(list(report.values())).tobytes()
 
     @pytest.mark.parametrize("certain", [(1.0, 0.0, 0.0, 0.0), (0.5, 0.0, 0.5, 0.0)],
                              ids=["both_marginals", "b_marginal"])
@@ -236,14 +236,14 @@ class TestPrecisions:
         monkeypatch.setattr(fisher_mod, "joint_distribution", certain_at_index_2)
         report = precisions(JointSetup(state, direction, Coupling(gammas)))
         for name in ("i_A_joint", "i_B_joint", "epsilon", "eta"):
-            values, expected = getattr(report, name), getattr(real, name)
+            values, expected = report[name], real[name]
             assert np.isnan(values[2])
             assert np.delete(values, 2).tolist() == np.delete(expected, 2).tolist()
         monkeypatch.setattr(fisher_mod, "joint_distribution", lambda setup: np.array(certain))
         report = precisions(JointSetup(state, direction, Coupling(0.9)))
-        assert all(math.isnan(v) for v in (report.i_A_joint, report.i_B_joint,
-                                           report.epsilon, report.eta))
-        assert (report.i_A_proj, report.i_B_proj) == (real.i_A_proj, real.i_B_proj)
+        assert all(math.isnan(v) for v in (report["i_A_joint"], report["i_B_joint"],
+                                           report["epsilon"], report["eta"]))
+        assert (report["i_A_proj"], report["i_B_proj"]) == (real["i_A_proj"], real["i_B_proj"])
 
     @pytest.mark.parametrize("gamma", [0.9, np.linspace(0.75, 0.95, 5)], ids=["one", "stack"])
     def test_eigenstates_raise(self, gamma):
@@ -311,7 +311,7 @@ class TestTradeoffCurve:
         # each row is bit-identical to the single-scenario precisions
         for gamma, _, eps, eta in rows[1:-1].tolist():
             report = precisions(JointSetup(state, direction, Coupling(gamma)))
-            assert (eps, eta) == (report.epsilon, report.eta)
+            assert (eps, eta) == (report["epsilon"], report["eta"])
 
     def test_all_rows_come_from_one_kernel_call(self, monkeypatch):
         import seqmeas.fisher as fisher_mod

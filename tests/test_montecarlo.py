@@ -410,14 +410,15 @@ class TestEstimate:
         np.testing.assert_allclose(law, [0.2, 0.15, 0.05, 0.6], atol=1e-12)
         batch = TrialBatch(counts=(20, 15, 5, 60), trials=100)
         stats = estimate(batch, estimator_weights(setup))
-        assert stats.est_A == pytest.approx(-0.5, abs=1e-12)
-        assert stats.est_B == pytest.approx(-0.5, abs=1e-12)
+        assert list(stats) == ["est_A", "est_B", "se_A", "se_B"]
+        assert stats["est_A"] == pytest.approx(-0.5, abs=1e-12)
+        assert stats["est_B"] == pytest.approx(-0.5, abs=1e-12)
 
     def test_ideal_proportions_scenario(self, worked_setup):
         batch = TrialBatch(counts=(348205, 1795, 498205, 151795), trials=1_000_000)
         stats = estimate(batch, estimator_weights(worked_setup))
-        assert stats.est_A == pytest.approx(-0.5, abs=1e-12)
-        assert stats.est_B == pytest.approx(math.sqrt(3) / 2, abs=1e-6)
+        assert stats["est_A"] == pytest.approx(-0.5, abs=1e-12)
+        assert stats["est_B"] == pytest.approx(math.sqrt(3) / 2, abs=1e-6)
 
     def test_single_trial_estimates_leave_unit_interval(self):
         setup = JointSetup(
@@ -425,8 +426,8 @@ class TestEstimate:
         )
         batch = TrialBatch(counts=(1, 0, 0, 0), trials=1)
         stats = estimate(batch, estimator_weights(setup))
-        assert stats.est_A == pytest.approx(1.0 / 0.6, abs=1e-9)
-        assert stats.est_B == pytest.approx(1.25, abs=1e-9)
+        assert stats["est_A"] == pytest.approx(1.0 / 0.6, abs=1e-9)
+        assert stats["est_B"] == pytest.approx(1.25, abs=1e-9)
 
     def test_standard_error_identity_for_a(self, worked_setup):
         batch = sample(worked_setup, 200_000, seed=17)
@@ -435,7 +436,7 @@ class TestEstimate:
         fm_plus, fm_minus = f[0] + f[1], f[2] + f[3]
         kappa = worked_setup.coupling.kappa
         expected = math.sqrt(4 * fm_plus * fm_minus / (batch.trials * kappa**2))
-        assert stats.se_A == pytest.approx(expected, rel=1e-12)
+        assert stats["se_A"] == pytest.approx(expected, rel=1e-12)
 
     def test_degenerate_couplings_refuse(self):
         state, direction = make_state(0.6, 0.0), make_direction(1.0, 0.0)
@@ -539,9 +540,26 @@ class TestCrbCheck:
         assert var_b == pytest.approx(metrics["ratio_B"] * metrics["var_B_analytic"], rel=1e-12)
 
     def test_ratios_concentrate(self, worked_setup):
-        metrics = crb_check(worked_setup, trials=100_000, repeats=200, seed=9)
+        # each ratio is chi^2_4999 / 4999 over 5000 repeats of normal estimates: outside the
+        # band with probability 7.4e-7, so a correct run fails at most 1.5e-6 of the time
+        metrics = crb_check(worked_setup, trials=100_000, repeats=5000, seed=9)
         assert 0.9 <= metrics["ratio_A"] <= 1.1
         assert 0.9 <= metrics["ratio_B"] <= 1.1
+
+    @pytest.mark.parametrize("scale", [1.25, 0.75])
+    def test_a_wrong_reference_variance_leaves_the_band(self, worked_setup, monkeypatch, scale):
+        # negative control of the band above: references scaled by 1.25 or 0.75 put each
+        # ratio near 0.8 or 1.33, outside [0.9, 1.1] at every seed; at 200 repeats, 8 and 3
+        # of these 40 seeds landed a wrong ratio inside it
+        real_bound, real_variance = montecarlo.cramer_rao_bound, montecarlo._affine_variance
+        monkeypatch.setattr(montecarlo, "cramer_rao_bound",
+                            lambda fi, trials: scale * real_bound(fi, trials))
+        monkeypatch.setattr(montecarlo, "_affine_variance",
+                            lambda weights, probs, n: scale * real_variance(weights, probs, n))
+        for seed in range(40):
+            metrics = crb_check(worked_setup, trials=100_000, repeats=5000, seed=seed)
+            for ratio in (metrics["ratio_A"], metrics["ratio_B"]):
+                assert not 0.9 <= ratio <= 1.1, (seed, ratio)
 
     def test_one_law_and_one_weight_call(self, monkeypatch):
         calls = {"estimator_weights": 0, "joint_distribution": 0}
@@ -703,4 +721,4 @@ def test_a_seed_in_64_bits_samples_as_the_int_does(seed):
 def report_free_crb(setup, trials):
     from seqmeas import precisions
 
-    return 1.0 / (trials * precisions(setup).i_A_joint)
+    return 1.0 / (trials * precisions(setup)["i_A_joint"])

@@ -10,7 +10,6 @@ import io
 import json
 import math
 import struct
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -202,7 +201,7 @@ def test_stacked_precisions_equal_the_one_scenario_ones(count, seed, eigen, k):
     reports, refused = [], []
     for row in rows:
         try:
-            reports.append(astuple(precisions(stacked_setup(np.array(row)))))
+            reports.append(tuple(precisions(stacked_setup(np.array(row))).values()))
         except DegenerateDistribution as exc:
             refused.append(str(exc))
     if refused:
@@ -212,7 +211,7 @@ def test_stacked_precisions_equal_the_one_scenario_ones(count, seed, eigen, k):
             precisions(stacked_setup(np.array(rows)))
         return
     # array sin/cos may differ from the scalar path by an ulp: 9 significant digits
-    stacked = astuple(precisions(stacked_setup(np.array(rows))))
+    stacked = tuple(precisions(stacked_setup(np.array(rows))).values())
     np.testing.assert_allclose(stacked, np.transpose(reports), rtol=1e-9, atol=0, equal_nan=True)
 
 

@@ -96,9 +96,9 @@ class TestSuiteZnzd:
     @pytest.mark.parametrize("seed", [4, 77])
     def test_metrics_equal_the_per_pair_loop(self, seed):
         result = suite_znzd(count=100, seed=seed, grid=50)
-        assert result.passed
+        assert result["passed"]
         max_drift, min_variation = reference_znzd_metrics(100, seed, 50)
-        assert result.metrics == {"max_drift": max_drift, "min_variation": min_variation}
+        assert result["metrics"] == {"max_drift": max_drift, "min_variation": min_variation}
 
     def test_each_family_is_one_law_call(self, monkeypatch):
         calls = []
@@ -109,7 +109,7 @@ class TestSuiteZnzd:
             return real_joint_distribution(setup)
 
         monkeypatch.setattr(verify_mod, "joint_distribution", counted)
-        assert suite_znzd(count=100, grid=50).passed
+        assert suite_znzd(count=100, grid=50)["passed"]
         assert len(calls) == 2
         for setup in calls:
             assert setup.state.alpha.shape == (100,)
@@ -130,7 +130,8 @@ class TestSuiteZnzd:
 
         monkeypatch.setattr(verify_mod, "znzd_masks", last_pair_misclassified)
         result = suite_znzd(count=10, grid=5)
-        assert (result.name, result.passed, result.detail) == ("znzd", False, detail)
+        assert list(result.items()) == [("name", "znzd"), ("passed", False), ("detail", detail),
+                                        ("metrics", {})]
 
     def test_each_family_is_one_classification(self, monkeypatch):
         calls = []
@@ -141,8 +142,8 @@ class TestSuiteZnzd:
             return real_znzd_masks(state, direction)
 
         monkeypatch.setattr(verify_mod, "znzd_masks", counted)
-        assert suite_znzd(count=100, grid=5).passed
+        assert suite_znzd(count=100, grid=5)["passed"]
         assert calls == [(100,), (100,)]
 
     def test_no_pairs_give_the_empty_extremes(self):
-        assert suite_znzd(count=0).metrics == {"max_drift": 0.0, "min_variation": math.inf}
+        assert suite_znzd(count=0)["metrics"] == {"max_drift": 0.0, "min_variation": math.inf}
